@@ -112,7 +112,6 @@ def _cmd_collect(args: argparse.Namespace) -> int:
 def _collect(args: argparse.Namespace) -> int:
     from .datacenter import (
         FleetSpec,
-        collect_fleet,
         collect_fleet_to_store,
         run_gfs_workload,
         run_mapreduce_jobs,
@@ -123,29 +122,14 @@ def _collect(args: argparse.Namespace) -> int:
 
     if args.replicas < 1:
         raise SystemExit(f"--replicas must be >= 1, got {args.replicas}")
-    if args.append and args.flat:
-        raise SystemExit(
-            "--append adds a round to a shard store; it cannot combine "
-            "with --flat"
-        )
     if args.codec == "columnar" and args.gzip:
         raise SystemExit(
             "--gzip applies to jsonl stream files; columnar column "
             "buffers are raw binary and cannot combine with it"
         )
-    if args.codec == "columnar" and args.flat:
-        raise SystemExit(
-            "--flat writes a jsonl dump; collect into a shard store to "
-            "use --codec columnar"
-        )
     if args.windows < 1:
         raise SystemExit(f"--windows must be >= 1, got {args.windows}")
     windowed = args.windows > 1 or args.checkpoint_dir is not None
-    if windowed and args.flat:
-        raise SystemExit(
-            "--windows/--checkpoint-dir stream window shards to a store; "
-            "they cannot combine with --flat"
-        )
     rate = None if args.app == "mapreduce" else args.rate
     sweep_rates = None
     if args.sweep_rate:
@@ -162,7 +146,7 @@ def _collect(args: argparse.Namespace) -> int:
         or args.codec != "jsonl"
         or windowed
     )
-    if use_store and not args.flat:
+    if use_store:
         # Sharded fleet streamed straight to an on-disk store: each
         # replica writes shard-<idx>/ as it completes and only the
         # manifest crosses the process pool.  The stitched merge
@@ -214,55 +198,21 @@ def _collect(args: argparse.Namespace) -> int:
             f"{args.workers} workers in {result.elapsed_seconds:.2f}s wall)"
         )
         return 0
-    if args.replicas > 1 or sweep_rates:
-        # --flat: legacy path — merge in memory, save one flat dump.
-        if sweep_rates:
-            spec = FleetSpec(
-                app=args.app,
-                replicas=args.replicas,
-                seed=args.seed,
-                n_requests=args.requests,
-                arrival_rate=rate,
-            )
-            from .datacenter import collect_replicas, merge_replicas
-
-            specs = sweep_replica_specs(
-                spec, [{"arrival_rate": r} for r in sweep_rates]
-            )
-            traces = merge_replicas(collect_replicas(specs, args.workers))
-            extra = f"; swept {len(sweep_rates)} rates"
-        else:
-            result = collect_fleet(
-                app=args.app,
-                replicas=args.replicas,
-                seed=args.seed,
-                n_requests=args.requests,
-                arrival_rate=rate,
-                workers=args.workers,
-            )
-            traces = result.traces
-            extra = (
-                f"; {args.replicas} replicas x {args.workers} workers "
-                f"in {result.elapsed_seconds:.2f}s wall"
-            )
-    elif args.app == "gfs":
+    if args.app == "gfs":
         traces = run_gfs_workload(
             n_requests=args.requests, seed=args.seed, arrival_rate=args.rate
         ).traces
-        extra = ""
     elif args.app == "webapp":
         traces = run_webapp_workload(
             n_requests=args.requests, seed=args.seed, arrival_rate=args.rate
         )
-        extra = ""
     elif args.app == "mapreduce":
         traces, _ = run_mapreduce_jobs(seed=args.seed)
-        extra = ""
     else:
         raise SystemExit(f"unknown app {args.app!r}")
     save_traces(traces, args.out, compress=args.gzip)
     summary = ", ".join(f"{k}={v}" for k, v in traces.summary().items())
-    print(f"saved traces to {args.out} ({summary}{extra})")
+    print(f"saved traces to {args.out} ({summary})")
     return 0
 
 
@@ -380,9 +330,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
         from .store import ShardStore, save_per_class_models, train_per_class
 
         use_cache = args.cache and isinstance(source, ShardStore)
-        fit = train_per_class(
-            source, config, workers=args.workers, cache=use_cache
-        )
+        try:
+            fit = train_per_class(
+                source, config, workers=args.workers, cache=use_cache
+            )
+        except ValueError as error:
+            raise SystemExit(f"cannot train: {error}")
         if use_cache:
             _print_cache_stats(fit.cache_hits, fit.cache_misses)
         if not fit.models:
@@ -400,7 +353,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
             f"{skipped}; written to {args.model}"
         )
         return 0
-    model = KoozaTrainer(config).fit(source)
+    try:
+        model = KoozaTrainer(config).fit(source)
+    except ValueError as error:
+        raise SystemExit(f"cannot train: {error}")
     save_model(model, args.model)
     print(
         f"trained on {model.n_training_requests} requests "
@@ -442,14 +398,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if args.per_class:
         from .store import load_per_class_models, validate_per_class
 
-        models = load_per_class_models(args.model) if args.model else None
-        result = validate_per_class(
-            source,
-            models=models,
-            seed=args.seed,
-            workers=args.workers,
-            cache=use_cache,
-        )
+        try:
+            models = load_per_class_models(args.model) if args.model else None
+            result = validate_per_class(
+                source,
+                models=models,
+                seed=args.seed,
+                workers=args.workers,
+                cache=use_cache,
+            )
+        except (OSError, ValueError) as error:
+            raise SystemExit(f"cannot load or train a model: {error}")
         if use_cache:
             _print_cache_stats(result.cache_hits, result.cache_misses)
         print(result.to_table())
@@ -462,21 +421,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             f"worst feature deviation: {worst:.2f}%"
         )
         return 0 if worst < args.feature_limit else 1
-    if isinstance(source, ShardStore):
-        # Streaming accumulation, one worker per shard — the merged
-        # TraceSet is never built.
-        analysis = analyze_source(
-            source, workers=args.workers, cache=use_cache
-        )
-        if use_cache:
-            _print_cache_stats(analysis.cache_hits, analysis.cache_misses)
-        original = analysis.features
-    else:
-        original = WorkloadFeatureStats.from_source(source)
-    if args.model:
-        model = load_model(args.model)
-    else:
-        model = KoozaTrainer().fit(source)
+    analysis = analyze_source(source, workers=args.workers, cache=use_cache)
+    if use_cache:
+        _print_cache_stats(analysis.cache_hits, analysis.cache_misses)
+    original = analysis.features
+    try:
+        model = load_model(args.model) if args.model else KoozaTrainer().fit(source)
+    except (OSError, ValueError) as error:
+        raise SystemExit(f"cannot load or train a model: {error}")
     synthetic = model.synthesize(original.n, np.random.default_rng(args.seed))
     replayed = ReplayHarness(seed=args.seed + 1).replay(synthetic)
     try:
@@ -831,12 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
     collect = sub.add_parser("collect", help="run a workload, save traces")
     add_collect_args(collect)
     collect.add_argument(
-        "--flat",
-        action="store_true",
-        help="merge replicas in memory and save one flat dump instead of "
-        "a sharded store",
-    )
-    collect.add_argument(
         "--append",
         action="store_true",
         help="add a collection round to an existing shard store instead "
@@ -850,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(collect --append)",
     )
     add_collect_args(append)
-    append.set_defaults(func=_cmd_collect, append=True, flat=False)
+    append.set_defaults(func=_cmd_collect, append=True)
 
     resume = sub.add_parser(
         "resume",

@@ -10,7 +10,6 @@ correlations between individual subsystem models the paper highlights
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
@@ -60,11 +59,7 @@ class RequestFeatures:
         return self.cpu_busy / self.latency if self.latency > 0 else 0.0
 
 
-def extract_request_features(
-    source: Optional[TraceSource] = None,
-    *,
-    traces: Optional[TraceSource] = None,
-) -> list[RequestFeatures]:
+def extract_request_features(source: TraceSource) -> list[RequestFeatures]:
     """Assemble per-request feature vectors, sorted by arrival time.
 
     Accepts any :class:`~repro.tracing.TraceSource` — an in-memory
@@ -75,22 +70,7 @@ def extract_request_features(
     lookups) are excluded from the data-path features.  Requests
     missing any subsystem record (e.g. cut off at simulation end) are
     dropped.
-
-    The ``traces=`` keyword is a deprecated alias for the first
-    positional argument and will be removed one release after 0.3.
     """
-    if traces is not None:
-        if source is not None:
-            raise TypeError("pass either 'source' or 'traces', not both")
-        warnings.warn(
-            "extract_request_features(traces=...) is deprecated; pass the "
-            "trace source positionally or as source=...",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        source = traces
-    if source is None:
-        raise TypeError("extract_request_features() missing a trace source")
     storage_by_request: dict[int, list] = {}
     for r in source.iter_records("storage"):
         storage_by_request.setdefault(r.request_id, []).append(r)

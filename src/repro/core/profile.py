@@ -30,7 +30,7 @@ from typing import Any, Mapping, Optional
 
 import numpy as np
 
-from ..snapshot import SNAPSHOT_VERSION as STREAMING_STATE_VERSION
+from ..snapshot import SNAPSHOT_VERSION
 from ..snapshot import check_state
 from ..stats import (
     CategoricalCounter,
@@ -527,7 +527,7 @@ class WorkloadProfileBuilder:
         """
         return {
             "kind": "profile-builder",
-            "version": STREAMING_STATE_VERSION,
+            "version": SNAPSHOT_VERSION,
             "window": self.window,
             "cores": self.cores,
             "max_quantile_values": self.max_quantile_values,

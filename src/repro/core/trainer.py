@@ -9,7 +9,6 @@ system from issue to response" (§4).  The trainer consumes any
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 import numpy as np
@@ -30,32 +29,13 @@ class KoozaTrainer:
     def __init__(self, config: Optional[KoozaConfig] = None):
         self.config = config or KoozaConfig()
 
-    def fit(
-        self,
-        source: Optional[TraceSource] = None,
-        *,
-        traces: Optional[TraceSource] = None,
-    ) -> KoozaModel:
+    def fit(self, source: TraceSource) -> KoozaModel:
         """Train a :class:`KoozaModel` on any trace source.
 
         ``source`` may be an in-memory :class:`~repro.tracing.TraceSet`,
         a lazy :class:`repro.store.ShardStore`, or a
-        :class:`~repro.tracing.FlatTraceDump`.  The ``traces=`` keyword
-        is a deprecated alias and will be removed one release after
-        0.3.
+        :class:`~repro.tracing.FlatTraceDump`.
         """
-        if traces is not None:
-            if source is not None:
-                raise TypeError("pass either 'source' or 'traces', not both")
-            warnings.warn(
-                "KoozaTrainer.fit(traces=...) is deprecated; pass the trace "
-                "source positionally or as source=...",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            source = traces
-        if source is None:
-            raise TypeError("KoozaTrainer.fit() missing a trace source")
         features = extract_request_features(source)
         if len(features) < 16:
             raise ValueError(

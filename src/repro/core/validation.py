@@ -16,7 +16,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..snapshot import SNAPSHOT_VERSION as STREAMING_STATE_VERSION
+from ..snapshot import SNAPSHOT_VERSION
 from ..snapshot import check_state
 from ..stats import (
     CategoricalCounter,
@@ -248,7 +248,7 @@ class ProfileFeatureStats:
     def state(self) -> dict[str, Any]:
         return {
             "kind": "profile-feature-stats",
-            "version": STREAMING_STATE_VERSION,
+            "version": SNAPSHOT_VERSION,
             "network_bytes": self.network_bytes.state(),
             "cpu_utilization": self.cpu_utilization.state(),
             "memory_bytes": self.memory_bytes.state(),
@@ -363,7 +363,7 @@ class WorkloadFeatureStats:
         # tuple, so each entry is a [[op, bucket], state] pair.
         return {
             "kind": "workload-feature-stats",
-            "version": STREAMING_STATE_VERSION,
+            "version": SNAPSHOT_VERSION,
             "profiles": [
                 [[key[0], key[1]], stats.state()]
                 for key, stats in sorted(self.profiles.items())

@@ -3,9 +3,9 @@
 The paper's KOOZA validation trains on traces from many independent
 workload runs; collecting them one-at-a-time in a single process wastes
 every core but one.  This driver fans ``replicas`` independent copies of
-one of the three standard workloads (:func:`run_gfs_workload`,
-:func:`run_webapp_workload`, :func:`run_mapreduce_jobs`) across worker
-processes and merges their traces into a single :class:`TraceSet`.
+one of the three standard workloads (gfs, webapp, mapreduce), each one
+driven by a :class:`~repro.datacenter.session.ReplicaSession`, across
+worker processes and stitches their traces onto one timeline.
 
 Two properties make the merged result well-defined:
 
@@ -45,7 +45,6 @@ from ..store.stitch import (
 from ..store.writer import ShardWriter, shard_dirname
 from ..tracing import Tracer, TraceSet
 from .mapreduce import JobResult
-from .run import run_gfs_workload, run_mapreduce_jobs, run_webapp_workload
 from .session import ReplicaSession, _NullSink, replica_streams
 
 __all__ = [
@@ -167,33 +166,28 @@ class FleetResult:
         return sum(self.replica_durations)
 
 
+def _replica_duration(session: ReplicaSession, extent: float) -> float:
+    """How long a replica ran: gfs replicas report simulated time,
+    webapp and mapreduce the ``extent`` of their streamed records."""
+    return session.env.now if session.spec.app == "gfs" else extent
+
+
 def run_replica(spec: ReplicaSpec) -> ReplicaResult:
     """Execute one replica; the worker-process entry point.
 
     All randomness comes from :func:`replica_streams`, so the result is
     a pure function of the spec.
     """
-    streams = replica_streams(spec.seed, spec.index)
-    if spec.app == "gfs":
-        run = run_gfs_workload(
-            n_requests=spec.n_requests,
-            arrival_rate=spec.arrival_rate,
-            sample_every=spec.sample_every,
-            streams=streams,
-        )
-        return ReplicaResult(spec.index, run.traces, run.env.now)
-    if spec.app == "webapp":
-        traces = run_webapp_workload(
-            n_requests=spec.n_requests,
-            arrival_rate=spec.arrival_rate,
-            sample_every=spec.sample_every,
-            streams=streams,
-        )
-        return ReplicaResult(spec.index, traces, trace_extent(traces))
-    traces, results = run_mapreduce_jobs(
-        sample_every=spec.sample_every, streams=streams
+    session = ReplicaSession(spec)
+    session.run_to_completion()
+    traces = session.traces
+    job_results = list(session.cluster.results) if spec.app == "mapreduce" else []
+    return ReplicaResult(
+        spec.index,
+        traces,
+        _replica_duration(session, trace_extent(traces)),
+        job_results,
     )
-    return ReplicaResult(spec.index, traces, trace_extent(traces), list(results))
 
 
 def merge_replicas(results: list[ReplicaResult]) -> TraceSet:
@@ -392,31 +386,15 @@ def write_replica_shard(task: ShardTask) -> ShardManifest:
         round=task.round,
         codec=task.codec,
     )
-    streams = replica_streams(spec.seed, spec.index)
-    tracer = Tracer(
-        sample_every=spec.sample_every, sink=writer, keep_records=False
+    session = ReplicaSession(
+        spec,
+        tracer=Tracer(
+            sample_every=spec.sample_every, sink=writer, keep_records=False
+        ),
     )
-    if spec.app == "gfs":
-        run = run_gfs_workload(
-            n_requests=spec.n_requests,
-            arrival_rate=spec.arrival_rate,
-            streams=streams,
-            tracer=tracer,
-        )
-        duration = run.env.now
-    elif spec.app == "webapp":
-        run_webapp_workload(
-            n_requests=spec.n_requests,
-            arrival_rate=spec.arrival_rate,
-            streams=streams,
-            tracer=tracer,
-        )
-        duration = writer.extent
-    else:
-        run_mapreduce_jobs(streams=streams, tracer=tracer)
-        duration = writer.extent
-    tracer.close()
-    return writer.finalize(duration)
+    session.run_to_completion()
+    session.tracer.close()
+    return writer.finalize(_replica_duration(session, writer.extent))
 
 
 @dataclass
@@ -696,13 +674,9 @@ def write_windowed_replica(task: WindowedTask) -> list[ShardManifest]:
         session.tracer.flush_spans(final=final)
         session.tracer.sink = None
         previous = boundaries[-1] if boundaries else 0.0
-        # The absolute end of this window: gfs replicas report simulated
-        # time, webapp/mapreduce the streamed-record extent (exactly the
-        # duration semantics of the single-shot write_replica_shard).
-        if spec.app == "gfs":
-            boundary = session.env.now
-        else:
-            boundary = max(previous, writer.extent)
+        # The absolute end of this window, with the duration semantics
+        # of the single-shot write_replica_shard.
+        boundary = _replica_duration(session, max(previous, writer.extent))
         boundaries.append(boundary)
         # Duration stays the per-window delta (so durations sum to the
         # replica's) while the extent floor is the absolute boundary

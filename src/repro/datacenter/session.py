@@ -247,15 +247,6 @@ class ReplicaSession:
             raise ValueError(f"window {window} outside 0..{n_windows - 1}")
         return -(-self.total_progress * (window + 1) // n_windows)
 
-    def duration(self) -> float:
-        """The replica duration a single-shot run would report so far.
-
-        GFS runs report ``env.now``; webapp and mapreduce report the
-        streamed-record extent, which the caller tracks on its shard
-        writer — here approximated by ``env.now`` only for gfs.
-        """
-        return self.env.now
-
     # -- forking -------------------------------------------------------------
 
     def fork(self, key: str) -> "ReplicaSession":

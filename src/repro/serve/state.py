@@ -1,12 +1,12 @@
 """Daemon state: resident accumulators and checkpoint/restore.
 
-:class:`ResidentAnalysis` is the daemon's long-lived mirror of one
-:func:`repro.store.analyze_source` reduction — the same fresh
-``WorkloadProfileBuilder`` / ``WorkloadFeatureStats`` / per-class dict,
-folded with the same sequential left-merge in shard-index order.  That
-sameness is the whole point: folding appended shards one poll at a time
-lands on accumulators *equal* to a batch re-analysis of the full store,
-so ``/profile`` can promise byte-equality with ``repro characterize``.
+:class:`ResidentAnalysis` holds the daemon's long-lived
+:class:`~repro.store.analyze.AnalysisReducer` — the object
+:func:`repro.store.analyze_source` folds shards into — plus a ledger of
+the shards it has absorbed.  Folding appended shards one poll at a time
+therefore lands on accumulators *equal* to a batch re-analysis of the
+full store, so ``/profile`` can promise byte-equality with
+``repro characterize``.
 
 :class:`ServeState` wraps the resident accumulators (plus the drift
 monitor's window) in a versioned JSON checkpoint following the
@@ -16,15 +16,10 @@ restores it, validates the folded-shard ledger against what is on disk
 files), and resumes; a stale or mismatched checkpoint is discarded and
 the store is cold-folded through the analysis cache instead, which is
 merely slower, never wrong.
-
-``SERVE_STATE_VERSION`` is now an alias of
-:data:`repro.snapshot.SNAPSHOT_VERSION`; importing it from here still
-works but emits ``DeprecationWarning`` (removed one release after 1.0).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional
@@ -36,33 +31,17 @@ from ..snapshot import (
     load_snapshot,
     save_snapshot,
 )
-from ..store.analyze import SourceAnalysis
+from ..store.analyze import AnalysisReducer, SourceAnalysis
 from ..store.manifest import ShardManifest
 
 __all__ = [
     "SERVE_STATE_FORMAT",
-    "SERVE_STATE_VERSION",
     "FoldedShard",
     "ResidentAnalysis",
     "ServeState",
 ]
 
 SERVE_STATE_FORMAT = "repro-serve-state"
-
-_MOVED_TO_SNAPSHOT = {"SERVE_STATE_VERSION": _SNAPSHOT_VERSION}
-
-
-def __getattr__(name: str) -> Any:
-    if name in _MOVED_TO_SNAPSHOT:
-        warnings.warn(
-            f"repro.serve.state.{name} is deprecated; use "
-            "repro.snapshot.SNAPSHOT_VERSION instead. The alias will be "
-            "removed one release after 1.0.",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _MOVED_TO_SNAPSHOT[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -97,8 +76,20 @@ def manifest_digest(manifest: ShardManifest) -> str:
     )
 
 
+def _reduced(name: str) -> property:
+    """Read-through to one attribute of the resident reducer."""
+    return property(lambda self: getattr(self.reducer, name))
+
+
 class ResidentAnalysis:
     """Live merged accumulators over a contiguous folded-shard prefix."""
+
+    window = _reduced("window")
+    cores = _reduced("cores")
+    max_quantile_values = _reduced("max_quantile_values")
+    builder = _reduced("builder")
+    features = _reduced("features")
+    per_class = _reduced("per_class")
 
     def __init__(
         self,
@@ -106,16 +97,7 @@ class ResidentAnalysis:
         cores: int = 8,
         max_quantile_values: Optional[int] = None,
     ):
-        from ..core import WorkloadFeatureStats, WorkloadProfileBuilder
-
-        self.window = window
-        self.cores = cores
-        self.max_quantile_values = max_quantile_values
-        self.builder = WorkloadProfileBuilder(
-            window=window, cores=cores, max_quantile_values=max_quantile_values
-        )
-        self.features = WorkloadFeatureStats()
-        self.per_class: dict[str, Any] = {}
+        self.reducer = AnalysisReducer(window, cores, max_quantile_values)
         self.folded: list[FoldedShard] = []
         #: Bumped on every fold; endpoint caches key on it.
         self.generation = 0
@@ -131,21 +113,13 @@ class ResidentAnalysis:
 
     def fold(self, manifest: ShardManifest, shard_builder, shard_features,
              shard_classes: Mapping[str, Any]) -> None:
-        """Left-merge one shard's accumulators, exactly like the batch
-        reduce in :func:`repro.store.analyze_source` (same order, same
-        adopt-or-merge per-class rule)."""
+        """Fold the next shard's accumulators into the reducer and ledger."""
         if manifest.index != self.next_index:
             raise ValueError(
                 f"fold out of order: expected shard {self.next_index}, "
                 f"got {manifest.index}"
             )
-        self.builder.merge(shard_builder)
-        self.features.merge(shard_features)
-        for cls, stats in shard_classes.items():
-            if cls in self.per_class:
-                self.per_class[cls].merge(stats)
-            else:
-                self.per_class[cls] = stats
+        self.reducer.fold(shard_builder, shard_features, shard_classes)
         self.folded.append(
             FoldedShard(
                 index=manifest.index,
@@ -160,11 +134,7 @@ class ResidentAnalysis:
 
     def analysis(self) -> SourceAnalysis:
         """The batch-shaped view, accepted by ``validate_per_class``."""
-        return SourceAnalysis(
-            profile=self.builder.profile(),
-            features=self.features,
-            per_class=dict(sorted(self.per_class.items())),
-        )
+        return self.reducer.analysis()
 
     def matches_prefix(self, manifests) -> bool:
         """Whether the folded ledger equals the store's current prefix."""
@@ -182,38 +152,16 @@ class ResidentAnalysis:
         return {
             "kind": "resident-analysis",
             "version": _SNAPSHOT_VERSION,
-            "window": self.window,
-            "cores": self.cores,
-            "max_quantile_values": self.max_quantile_values,
-            "builder": self.builder.state(),
-            "features": self.features.state(),
-            "per_class": [
-                [cls, stats.state()]
-                for cls, stats in sorted(self.per_class.items())
-            ],
+            **self.reducer.state(),
             "folded": [entry.to_dict() for entry in self.folded],
             "generation": self.generation,
         }
 
     @classmethod
     def from_state(cls, state: Mapping[str, Any]) -> "ResidentAnalysis":
-        from ..core import WorkloadFeatureStats, WorkloadProfileBuilder
-
         _check_state(state, "resident-analysis")
-        max_quantile_values = state.get("max_quantile_values")
-        resident = cls(
-            window=float(state["window"]),
-            cores=int(state["cores"]),
-            max_quantile_values=(
-                None if max_quantile_values is None else int(max_quantile_values)
-            ),
-        )
-        resident.builder = WorkloadProfileBuilder.from_state(state["builder"])
-        resident.features = WorkloadFeatureStats.from_state(state["features"])
-        resident.per_class = {
-            str(name): WorkloadFeatureStats.from_state(stats)
-            for name, stats in state["per_class"]
-        }
+        resident = cls()
+        resident.reducer = AnalysisReducer.from_state(state)
         resident.folded = [
             FoldedShard.from_dict(entry) for entry in state["folded"]
         ]

@@ -2,8 +2,8 @@
 
 Polls :func:`repro.store.take_snapshot` and folds whatever complete,
 contiguous shards appeared beyond the resident prefix.  Per-shard
-results go through the *same* analysis cache as the batch path — same
-``analysis_key("profile", ...)`` parameters, same save format — so:
+results come from :func:`repro.store.analyze.analyze_shards`, the same
+cached lookup the batch path uses, so:
 
 * a daemon restart warm-loads every previously analyzed shard from
   cache instead of re-reading stream files, and
@@ -18,13 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
-from ..store.analyze import ShardAnalysisTask, analyze_shard
-from ..store.cache import (
-    analysis_key,
-    load_analysis_cache,
-    save_analysis_cache,
-    shard_content_hash,
-)
+from ..store.analyze import analyze_shards
 from ..store.manifest import ShardManifest
 from ..store.watch import StoreSnapshot, take_snapshot
 from .state import ResidentAnalysis
@@ -64,17 +58,6 @@ class StoreWatcher:
         self.cache = cache
         self.complete_rounds_only = complete_rounds_only
 
-    def key(self, resident: ResidentAnalysis) -> str:
-        """The cache key — identical to ``analyze_source``'s."""
-        return analysis_key(
-            "profile",
-            {
-                "window": resident.window,
-                "cores": resident.cores,
-                "max_quantile_values": resident.max_quantile_values,
-            },
-        )
-
     def poll(
         self,
         resident: ResidentAnalysis,
@@ -95,50 +78,18 @@ class StoreWatcher:
                 f"shards but {len(resident.folded)} are already resident"
             )
         result = PollResult(snapshot=snapshot)
-        key = self.key(resident)
-        for manifest in snapshot.manifests[len(resident.folded):]:
-            shard_dir = snapshot.dirs[manifest.index]
-            offsets = snapshot.offsets[manifest.index]
-            content_hash = shard_content_hash(shard_dir)
-            entry = None
-            if self.cache:
-                entry = load_analysis_cache(
-                    self.directory,
-                    shard_dir.name,
-                    key,
-                    content_hash,
-                    offsets,
-                    codec=manifest.codec,
-                )
-            if entry is not None:
-                result.cache_hits += 1
-                shard_builder, shard_features, shard_classes = entry
-            else:
-                result.cache_misses += 1
-                shard_builder, shard_features, shard_classes = analyze_shard(
-                    ShardAnalysisTask(
-                        directory=str(self.directory),
-                        shard_index=manifest.index,
-                        offsets=offsets,
-                        window=resident.window,
-                        cores=resident.cores,
-                        max_quantile_values=resident.max_quantile_values,
-                    )
-                )
-                if self.cache:
-                    save_analysis_cache(
-                        self.directory,
-                        shard_dir.name,
-                        key,
-                        content_hash,
-                        offsets,
-                        shard_builder,
-                        shard_features,
-                        shard_classes,
-                        compress=manifest.compress,
-                        codec=manifest.codec,
-                    )
-            resident.fold(manifest, shard_builder, shard_features, shard_classes)
+        new = snapshot.manifests[len(resident.folded):]
+        accumulators, result.cache_hits, result.cache_misses = analyze_shards(
+            self.directory,
+            [
+                (m, snapshot.dirs[m.index], snapshot.offsets[m.index])
+                for m in new
+            ],
+            resident.reducer.params,
+            cache=self.cache,
+        )
+        for manifest, shard in zip(new, accumulators):
+            resident.fold(manifest, *shard)
             result.folded.append(manifest)
             if on_fold is not None:
                 on_fold(manifest, snapshot)

@@ -24,10 +24,9 @@ classmethod restoring an equivalent object — and the contract is
 behavioral: ``from_state(x.state())`` acts identically to ``x`` for
 every future operation.
 
-Historic aliases (``STREAMING_STATE_VERSION`` / ``check_state`` in
-``repro.stats.streaming``, ``SERVE_STATE_VERSION`` in
-``repro.serve.state``) still import but raise ``DeprecationWarning``;
-they will be removed one release after 1.0.
+``repro.stats.STREAMING_STATE_VERSION`` and
+``repro.serve.SERVE_STATE_VERSION`` remain as plain aliases of
+:data:`SNAPSHOT_VERSION`.
 """
 
 from __future__ import annotations
@@ -55,9 +54,7 @@ __all__ = [
 #: Schema version embedded in every snapshot.  Bump when any ``state()``
 #: layout changes incompatibly; readers reject newer versions, and the
 #: analysis cache keys on it so old cache files are invalidated rather
-#: than misinterpreted.  (Formerly ``STREAMING_STATE_VERSION`` /
-#: ``SERVE_STATE_VERSION``, which were independent and both happened to
-#: be 1; they are now aliases of this constant.)
+#: than misinterpreted.
 SNAPSHOT_VERSION = 1
 
 

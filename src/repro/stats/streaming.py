@@ -41,12 +41,6 @@ repository-wide protocol in :mod:`repro.snapshot` and embed
 :data:`~repro.snapshot.SNAPSHOT_VERSION`; a snapshot newer than the
 running code raises ``ValueError`` so stale caches are skipped, not
 misread.
-
-The protocol pieces formerly defined here — ``STREAMING_STATE_VERSION``
-and ``check_state`` — now live in :mod:`repro.snapshot` as
-``SNAPSHOT_VERSION`` and ``check_state``.  The old names still import
-from this module but emit ``DeprecationWarning`` and will be removed
-one release after 1.0.
 """
 
 from __future__ import annotations
@@ -62,7 +56,6 @@ from ..snapshot import SNAPSHOT_VERSION as _SNAPSHOT_VERSION
 from ..snapshot import check_state as _check_state
 
 __all__ = [
-    "STREAMING_STATE_VERSION",
     "CategoricalCounter",
     "CoMomentsAccumulator",
     "ExactQuantiles",
@@ -75,31 +68,6 @@ __all__ = [
     "SlidingWindowCounter",
     "WindowedCounter",
 ]
-
-#: Deprecated names now living in :mod:`repro.snapshot`, served lazily
-#: through module ``__getattr__`` so importing them warns exactly once
-#: per site without penalizing the package import itself.
-_MOVED_TO_SNAPSHOT = {
-    "STREAMING_STATE_VERSION": _SNAPSHOT_VERSION,
-    "check_state": _check_state,
-}
-
-
-def __getattr__(name: str) -> Any:
-    if name in _MOVED_TO_SNAPSHOT:
-        replacement = (
-            "SNAPSHOT_VERSION" if name == "STREAMING_STATE_VERSION" else name
-        )
-        warnings.warn(
-            f"repro.stats.streaming.{name} is deprecated; use "
-            f"repro.snapshot.{replacement} instead. The alias will be "
-            "removed one release after 1.0.",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _MOVED_TO_SNAPSHOT[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 class MomentsAccumulator:
     """Streaming count / mean / variance / extrema (Welford + Chan).
@@ -140,14 +108,16 @@ class MomentsAccumulator:
         ``merge``: results match repeated ``add`` within the 1e-9
         relative tolerance, not bit-for-bit.  Extrema are exact and
         NaN-transparent (a NaN value poisons mean/M2 exactly as a
-        sequential ``add`` would, but never moves min/max).
+        sequential ``add`` would, but never moves min/max).  Opposite
+        infinities make mean/M2 NaN silently, as ``add`` does.
         """
         values = np.asarray(values, dtype=float)
         if values.size == 0:
             return
         n = int(values.size)
-        mean = float(values.mean())
-        m2 = float(((values - mean) ** 2).sum())
+        with np.errstate(invalid="ignore"):
+            mean = float(values.mean())
+            m2 = float(((values - mean) ** 2).sum())
         if self.n == 0:
             self.n, self.mean, self.m2 = n, mean, m2
         else:

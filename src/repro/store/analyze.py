@@ -34,7 +34,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -59,15 +59,18 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     )
 
 __all__ = [
+    "AnalysisReducer",
     "ClassReport",
     "PerClassValidation",
     "ShardAnalysisTask",
     "SourceAnalysis",
     "analyze_shard",
+    "analyze_shards",
     "analyze_source",
     "characterize_source",
     "class_rng",
     "class_seed",
+    "reduce_source",
     "validate_per_class",
 ]
 
@@ -120,18 +123,22 @@ _ANALYSIS_COLUMNS = {
 }
 
 
-def analyze_shard(task: ShardAnalysisTask):
-    """Worker entry point: accumulate one shard, return the accumulators.
+def _fold_columns(
+    load,
+    offsets: StitchOffsets,
+    window: float,
+    cores: int,
+    max_quantile_values: Optional[int],
+):
+    """The one shard fold: ``(profile_builder, feature_stats, per_class_stats)``.
 
-    Returns ``(profile_builder, feature_stats, per_class_stats)``.
-
-    Both codecs fold through one code path: each stream is loaded as
-    full column arrays (columnar shards serve their buffers directly,
-    jsonl shards decode once and pivot), shifted in column space by the
-    manifest-derived stitch offsets, and folded through the vectorized
-    ``update_batch`` accumulators — so per-record Python dispatch never
-    runs on this hot path, and analyses over the two codecs are
-    byte-identical because they see the identical arrays.
+    ``load(stream, names)`` returns one stream's full column arrays (or
+    ``None`` for an empty stream).  Each stream is shifted in column
+    space by the stitch ``offsets`` and folded through the vectorized
+    ``update_batch`` accumulators, so per-record Python dispatch never
+    runs on this path and every source — columnar shard, jsonl shard,
+    flat dump, in-memory ``TraceSet`` — is analyzed from the identical
+    arrays.
     """
     from ..core import (
         WorkloadFeatureStats,
@@ -140,20 +147,13 @@ def analyze_shard(task: ShardAnalysisTask):
     )
     from ..tracing.columnar import columns_from_records, shift_columns, take_columns
 
-    store = ShardStore(task.directory)
-    manifest = next(
-        m for m in store.manifests if m.index == task.shard_index
-    )
     builder = WorkloadProfileBuilder(
-        window=task.window,
-        cores=task.cores,
-        max_quantile_values=task.max_quantile_values,
+        window=window, cores=cores, max_quantile_values=max_quantile_values
     )
-    offsets = task.offsets
     shard_columns: dict[str, dict] = {}
     for stream in STREAM_TYPES:
         names = list(_ANALYSIS_COLUMNS[stream])
-        cols = store.load_shard_stream_columns(manifest, stream, names)
+        cols = load(stream, names)
         if cols is None:  # empty stream: fold zero-length columns
             cols = columns_from_records(stream, [], names)
         cols = shift_columns(
@@ -179,6 +179,90 @@ def analyze_shard(task: ShardAnalysisTask):
     return builder, overall, per_class
 
 
+def analyze_shard(task: ShardAnalysisTask):
+    """Worker entry point: accumulate one shard, return the accumulators.
+
+    Returns ``(profile_builder, feature_stats, per_class_stats)``.
+    Columnar shards serve their column buffers directly, jsonl shards
+    decode once and pivot; both then run :func:`_fold_columns`, so
+    analyses over the two codecs are byte-identical.
+    """
+    store = ShardStore(task.directory)
+    manifest = next(
+        m for m in store.manifests if m.index == task.shard_index
+    )
+    return _fold_columns(
+        lambda stream, names: store.load_shard_stream_columns(
+            manifest, stream, names
+        ),
+        task.offsets,
+        task.window,
+        task.cores,
+        task.max_quantile_values,
+    )
+
+
+def analyze_shards(
+    store_dir: str | Path,
+    shards: Sequence[tuple],
+    params: Mapping[str, Any],
+    workers: int = 1,
+    cache: bool = False,
+) -> tuple[list[tuple], int, int]:
+    """Per-shard accumulators for ``(manifest, shard_dir, offsets)`` triples.
+
+    ``params`` are the analysis parameters (``window``, ``cores``,
+    ``max_quantile_values``; see :attr:`AnalysisReducer.params`).  With
+    ``cache=True`` each shard's folded state is restored from
+    ``<store>/_cache/<shard>/`` when its content hash, stitch offsets,
+    codec and the parameter key all match; every other shard is folded
+    by :func:`analyze_shard`, fanned over ``workers``, and saved back.
+    Returns the accumulators in shard order plus the cache hit and miss
+    counts (both 0 with the cache off).
+    """
+    key = analysis_key("profile", params)
+    results: list = [None] * len(shards)
+    pending: list[tuple] = []  # (position, manifest, shard_dir, offsets, hash)
+    for position, (manifest, shard_dir, offsets) in enumerate(shards):
+        content_hash = None
+        if cache:
+            content_hash = shard_content_hash(shard_dir)
+            entry = load_analysis_cache(
+                store_dir,
+                shard_dir.name,
+                key,
+                content_hash,
+                offsets,
+                codec=manifest.codec,
+            )
+            if entry is not None:
+                results[position] = entry
+                continue
+        pending.append((position, manifest, shard_dir, offsets, content_hash))
+    tasks = [
+        ShardAnalysisTask(str(store_dir), manifest.index, offsets, **params)
+        for _, manifest, _, offsets, _ in pending
+    ]
+    folded = run_sharded(analyze_shard, tasks, workers)
+    for (position, manifest, shard_dir, offsets, content_hash), result in zip(
+        pending, folded
+    ):
+        results[position] = result
+        if cache:
+            save_analysis_cache(
+                store_dir,
+                shard_dir.name,
+                key,
+                content_hash,
+                offsets,
+                *result,
+                compress=manifest.compress,
+                codec=manifest.codec,
+            )
+    misses = len(pending) if cache else 0
+    return results, len(shards) - len(pending), misses
+
+
 @dataclass
 class SourceAnalysis:
     """Everything one streaming pass over a source produces."""
@@ -192,6 +276,141 @@ class SourceAnalysis:
     #: Both stay 0 when caching is off or the source is not a store.
     cache_hits: int = 0
     cache_misses: int = 0
+
+
+class AnalysisReducer:
+    """Merged analysis accumulators: the left fold of per-shard results.
+
+    Folding per-shard ``(builder, features, per_class)`` triples in
+    shard-index order is the whole reduce behind
+    :func:`analyze_source`; the ``repro serve`` daemon folds appended
+    shards through the same object, so its resident analysis equals a
+    batch re-analysis of the store.
+    """
+
+    def __init__(
+        self,
+        window: float = 0.25,
+        cores: int = 8,
+        max_quantile_values: Optional[int] = None,
+    ):
+        from ..core import WorkloadFeatureStats, WorkloadProfileBuilder
+
+        self.window = window
+        self.cores = cores
+        self.max_quantile_values = max_quantile_values
+        self.builder = WorkloadProfileBuilder(
+            window=window, cores=cores, max_quantile_values=max_quantile_values
+        )
+        self.features = WorkloadFeatureStats()
+        self.per_class: dict[str, "WorkloadFeatureStats"] = {}
+
+    @property
+    def params(self) -> dict[str, Any]:
+        """The analysis parameters, as the per-shard cache keys them."""
+        return {
+            "window": self.window,
+            "cores": self.cores,
+            "max_quantile_values": self.max_quantile_values,
+        }
+
+    def fold(self, builder, features, per_class: Mapping[str, Any]) -> None:
+        """Merge one shard's accumulators; a class seen first is adopted."""
+        self.builder.merge(builder)
+        self.features.merge(features)
+        for cls, stats in per_class.items():
+            if cls in self.per_class:
+                self.per_class[cls].merge(stats)
+            else:
+                self.per_class[cls] = stats
+
+    def analysis(self, **counters: Any) -> SourceAnalysis:
+        """The merged result; ``counters`` fill the bookkeeping fields."""
+        return SourceAnalysis(
+            profile=self.builder.profile(),
+            features=self.features,
+            per_class=dict(sorted(self.per_class.items())),
+            **counters,
+        )
+
+    def state(self) -> dict[str, Any]:
+        return {
+            **self.params,
+            "builder": self.builder.state(),
+            "features": self.features.state(),
+            "per_class": [
+                [cls, stats.state()]
+                for cls, stats in sorted(self.per_class.items())
+            ],
+        }
+
+    @classmethod
+    def from_state(cls, state: Mapping[str, Any]) -> "AnalysisReducer":
+        from ..core import WorkloadFeatureStats, WorkloadProfileBuilder
+
+        max_quantile_values = state.get("max_quantile_values")
+        reducer = cls(
+            window=float(state["window"]),
+            cores=int(state["cores"]),
+            max_quantile_values=(
+                None if max_quantile_values is None else int(max_quantile_values)
+            ),
+        )
+        reducer.builder = WorkloadProfileBuilder.from_state(state["builder"])
+        reducer.features = WorkloadFeatureStats.from_state(state["features"])
+        reducer.per_class = {
+            str(name): WorkloadFeatureStats.from_state(stats)
+            for name, stats in state["per_class"]
+        }
+        return reducer
+
+
+def reduce_source(
+    source: TraceSource | str | Path,
+    window: float = 0.25,
+    cores: int = 8,
+    workers: int = 1,
+    cache: bool = False,
+    max_quantile_values: Optional[int] = None,
+) -> tuple[AnalysisReducer, int, int]:
+    """Fold a source into an :class:`AnalysisReducer`.
+
+    Returns the reducer plus the cache hit and miss counts.  A
+    :class:`~repro.store.ShardStore` folds shard by shard through
+    :func:`analyze_shards`; any other source is folded as one shard
+    with zero stitch offsets.  Parameters as :func:`analyze_source`.
+    """
+    if isinstance(source, (str, Path)):
+        from ..tracing import load_traces
+
+        source = load_traces(source)
+    reducer = AnalysisReducer(window, cores, max_quantile_values)
+    if isinstance(source, ShardStore):
+        shards = [
+            (manifest, source.shard_dir(manifest), offsets)
+            for manifest, offsets in zip(source.manifests, source.offsets())
+        ]
+        results, hits, misses = analyze_shards(
+            source.directory, shards, reducer.params, workers, cache
+        )
+    else:
+        from ..tracing.columnar import columns_from_records
+
+        results = [
+            _fold_columns(
+                lambda stream, names: columns_from_records(
+                    stream, list(source.iter_records(stream)), names
+                ),
+                StitchOffsets(),
+                window,
+                cores,
+                max_quantile_values,
+            )
+        ]
+        hits = misses = 0
+    for result in results:
+        reducer.fold(*result)
+    return reducer, hits, misses
 
 
 def analyze_source(
@@ -208,7 +427,7 @@ def analyze_source(
     worker per shard and merges the per-shard accumulators in
     shard-index order — numerically equal to the single-pass fold for
     any worker count.  Any other :class:`~repro.tracing.TraceSource`
-    is folded inline.
+    is folded inline as a single shard.
 
     With ``cache=True`` (stores only) each shard's folded accumulator
     state is persisted under ``<store>/_cache/<shard>/`` keyed by the
@@ -223,115 +442,15 @@ def analyze_source(
     :class:`~repro.stats.ExactQuantiles`); it participates in the cache
     key.
     """
-    from ..core import WorkloadFeatureStats, WorkloadProfileBuilder
-
-    if isinstance(source, (str, Path)):
-        from ..tracing import load_traces
-
-        source = load_traces(source)
     start = time.perf_counter()
-    cache_hits = cache_misses = 0
-    if isinstance(source, ShardStore):
-        key = analysis_key(
-            "profile",
-            {
-                "window": window,
-                "cores": cores,
-                "max_quantile_values": max_quantile_values,
-            },
-        )
-        cached: dict[int, tuple] = {}
-        pending: list[tuple] = []  # (manifest, offsets, content_hash)
-        for manifest, offsets in zip(source.manifests, source.offsets()):
-            if not cache:
-                pending.append((manifest, offsets, None))
-                continue
-            shard_dir = source.shard_dir(manifest)
-            content_hash = shard_content_hash(shard_dir)
-            entry = load_analysis_cache(
-                source.directory,
-                shard_dir.name,
-                key,
-                content_hash,
-                offsets,
-                codec=manifest.codec,
-            )
-            if entry is not None:
-                cached[manifest.index] = entry
-                cache_hits += 1
-            else:
-                pending.append((manifest, offsets, content_hash))
-                cache_misses += 1
-        tasks = [
-            ShardAnalysisTask(
-                str(source.directory),
-                manifest.index,
-                offsets,
-                window,
-                cores,
-                max_quantile_values,
-            )
-            for manifest, offsets, _ in pending
-        ]
-        results = run_sharded(analyze_shard, tasks, workers)
-        fresh: dict[int, tuple] = {}
-        for (manifest, offsets, content_hash), result in zip(pending, results):
-            fresh[manifest.index] = result
-            if cache:
-                shard_builder, shard_features, shard_classes = result
-                save_analysis_cache(
-                    source.directory,
-                    source.shard_dir(manifest).name,
-                    key,
-                    content_hash,
-                    offsets,
-                    shard_builder,
-                    shard_features,
-                    shard_classes,
-                    compress=manifest.compress,
-                    codec=manifest.codec,
-                )
-        builder = WorkloadProfileBuilder(
-            window=window, cores=cores, max_quantile_values=max_quantile_values
-        )
-        features = WorkloadFeatureStats()
-        per_class: dict[str, WorkloadFeatureStats] = {}
-        for manifest in source.manifests:
-            shard_builder, shard_features, shard_classes = (
-                cached[manifest.index]
-                if manifest.index in cached
-                else fresh[manifest.index]
-            )
-            builder.merge(shard_builder)
-            features.merge(shard_features)
-            for cls, stats in shard_classes.items():
-                if cls in per_class:
-                    per_class[cls].merge(stats)
-                else:
-                    per_class[cls] = stats
-    else:
-        from ..core import extract_request_features
-
-        builder = WorkloadProfileBuilder(
-            window=window, cores=cores, max_quantile_values=max_quantile_values
-        )
-        builder.add_source(source)
-        feats = extract_request_features(source)
-        features = WorkloadFeatureStats.from_features(feats)
-        per_class = {}
-        for f in feats:
-            if f.request_class not in per_class:
-                per_class[f.request_class] = WorkloadFeatureStats()
-            per_class[f.request_class].add(f)
-    elapsed = time.perf_counter() - start
-    return SourceAnalysis(
-        profile=builder.profile(),
-        features=features,
-        per_class=dict(sorted(per_class.items())),
+    reducer, hits, misses = reduce_source(
+        source, window, cores, workers, cache, max_quantile_values
+    )
+    return reducer.analysis(
         workers=workers,
-        elapsed_seconds=elapsed,
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
+        elapsed_seconds=time.perf_counter() - start,
+        cache_hits=hits,
+        cache_misses=misses,
     )
 
 

@@ -19,7 +19,7 @@ one round to a 50-round store re-reads one round.
 A cache entry is valid only if **all** of the following match:
 
 * the file parses and carries this module's format/version markers;
-* ``schema`` equals :data:`~repro.stats.STREAMING_STATE_VERSION` (an
+* ``schema`` equals :data:`~repro.snapshot.SNAPSHOT_VERSION` (an
   accumulator-layout bump invalidates every older cache);
 * ``content_hash`` equals the sha256 digest of the shard's current
   stream-file bytes (editing a shard invalidates exactly that shard);
@@ -45,7 +45,7 @@ import os
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
-from ..snapshot import SNAPSHOT_VERSION as STREAMING_STATE_VERSION
+from ..snapshot import SNAPSHOT_VERSION
 from ..tracing.columnar import columnar_stream_files, find_columnar_stream
 from ..tracing.store import _CanonicalGzipFile, find_stream_file
 from .stitch import StitchOffsets
@@ -154,7 +154,7 @@ def analysis_key(prefix: str, params: Mapping[str, Any]) -> str:
     """
     payload = json.dumps(
         {
-            "schema": STREAMING_STATE_VERSION,
+            "schema": SNAPSHOT_VERSION,
             "cache": CACHE_VERSION,
             "params": dict(params),
         },
@@ -223,7 +223,7 @@ def save_analysis_cache(
     data = {
         "format": CACHE_FORMAT,
         "version": CACHE_VERSION,
-        "schema": STREAMING_STATE_VERSION,
+        "schema": SNAPSHOT_VERSION,
         "codec": codec,
         "content_hash": content_hash,
         "offsets": [offsets.time, offsets.request_id, offsets.span_id],
@@ -261,7 +261,7 @@ def load_analysis_cache(
         return None
     if data.get("format") != CACHE_FORMAT or data.get("version") != CACHE_VERSION:
         return None
-    if data.get("schema") != STREAMING_STATE_VERSION:
+    if data.get("schema") != SNAPSHOT_VERSION:
         return None
     if data.get("codec") != codec:
         return None

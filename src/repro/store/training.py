@@ -26,7 +26,6 @@ package — a module-level import here would close that cycle.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional
@@ -99,13 +98,12 @@ class PerClassFit:
 
 
 def train_per_class(
-    source: TraceSource | str | Path | None = None,
+    source: TraceSource | str | Path,
     config: Optional["KoozaConfig"] = None,
     workers: int = 1,
     min_requests: int = MIN_TRAINABLE_REQUESTS,
     *,
     cache: bool = False,
-    directory: str | Path | None = None,
 ) -> PerClassFit:
     """Fit one KOOZA model per request class.
 
@@ -127,25 +125,9 @@ def train_per_class(
     cache: any shard change — including an append — invalidates it.  It
     pays off for repeated runs over an unchanged store, e.g. a
     ``validate --per-class`` following a ``train``.
-
-    .. deprecated:: 0.3
-       The ``directory=`` keyword; pass the store path (or any trace
-       source) positionally or as ``source=``.
     """
     from ..core import model_from_dict
 
-    if directory is not None:
-        warnings.warn(
-            "train_per_class(directory=...) is deprecated; pass the trace "
-            "source positionally or as source=",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if source is not None:
-            raise TypeError("pass either source or directory, not both")
-        source = directory
-    if source is None:
-        raise TypeError("train_per_class() missing the trace source")
     if isinstance(source, (str, Path)):
         from ..tracing import load_traces
 

@@ -112,22 +112,6 @@ def test_load_snapshot_rejects_non_snapshot(tmp_path):
         load_snapshot(path)
 
 
-def test_deprecated_streaming_aliases_warn():
-    import repro.stats.streaming as streaming
-
-    with pytest.warns(DeprecationWarning, match="repro.snapshot"):
-        assert streaming.STREAMING_STATE_VERSION == SNAPSHOT_VERSION
-    with pytest.warns(DeprecationWarning, match="repro.snapshot"):
-        assert streaming.check_state is check_state
-
-
-def test_deprecated_serve_state_version_warns():
-    import repro.serve.state as serve_state
-
-    with pytest.warns(DeprecationWarning, match="repro.snapshot"):
-        assert serve_state.SERVE_STATE_VERSION == SNAPSHOT_VERSION
-
-
 def test_package_level_aliases_do_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

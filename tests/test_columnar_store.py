@@ -18,6 +18,7 @@ merge in parsed index order, not lexicographic).
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,23 @@ def test_moments_batch_nan_poisons_mean_not_extrema():
         reference.add(v)
     assert (reference.min, reference.max) == (1.0, 5.0)
     assert math.isnan(reference.mean)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[float("inf"), float("-inf"), 1.0], [float("nan"), 2.0]],
+    ids=["opposite-infinities", "nan"],
+)
+def test_moments_batch_non_finite_is_silent_and_matches_add(values):
+    batched = MomentsAccumulator()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batched.update_batch(values)
+    reference = MomentsAccumulator()
+    for v in values:
+        reference.add(v)
+    # json spells NaN the same way on both sides, where NaN != NaN.
+    assert json.dumps(batched.state()) == json.dumps(reference.state())
 
 
 def test_exact_quantiles_bounded_batch_degrades_identically():

@@ -489,5 +489,3 @@ def test_cli_append_compact_and_cache(tmp_path, capsys):
 
     with pytest.raises(SystemExit, match="append"):
         main(["collect", *base, "--out", store])
-    with pytest.raises(SystemExit, match="--flat"):
-        main(["collect", *base, "--flat", "--append", "--out", store])

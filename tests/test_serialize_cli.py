@@ -127,6 +127,36 @@ def test_cli_validate_trains_when_no_model(gfs_run, tmp_path):
     assert main(["validate", str(traces_dir)]) == 0
 
 
+def _exit_message(argv) -> str:
+    """The message of a command that must exit nonzero without a traceback."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    message = excinfo.value.code
+    assert isinstance(message, str) and "\n" not in message
+    return message
+
+
+def test_cli_train_and_validate_reject_too_few_requests(tmp_path):
+    # MapReduce traces carry no complete per-request feature vectors.
+    traces_dir = tmp_path / "mr"
+    assert main(["collect", "--app", "mapreduce", "--out", str(traces_dir)]) == 0
+    model_path = tmp_path / "model.json"
+    train = ["train", "--in", str(traces_dir), "--model", str(model_path)]
+    validate = ["validate", "--in", str(traces_dir)]
+    for argv in (train, train + ["--per-class"], validate, validate + ["--per-class"]):
+        assert "need >= 16 complete requests" in _exit_message(argv)
+    assert not model_path.exists()
+
+
+def test_cli_validate_missing_model_file(gfs_run, tmp_path):
+    traces_dir = tmp_path / "traces"
+    save_traces(gfs_run.traces, traces_dir)
+    missing = tmp_path / "missing.json"
+    argv = ["validate", "--in", str(traces_dir), "--model", str(missing)]
+    assert str(missing) in _exit_message(argv)
+    assert str(missing) in _exit_message(argv + ["--per-class"])
+
+
 def test_cli_unknown_app_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["collect", "--app", "nope", "--out", str(tmp_path / "x")])
@@ -159,17 +189,6 @@ def test_cli_collect_replicas_identical_across_workers(tmp_path, capsys):
     # 3 replicas x 60 requests on one monotonic timeline (+ header line).
     lines = (d1 / "merged" / "requests.jsonl").read_bytes().splitlines()
     assert len(lines) == 181
-
-
-def test_cli_collect_flat_replicas(tmp_path, capsys):
-    # --flat keeps the legacy single-dump layout for multi-replica runs.
-    out = tmp_path / "flat"
-    assert main(
-        ["collect", "--app", "gfs", "--requests", "40", "--replicas", "2",
-         "--flat", "--out", str(out)]
-    ) == 0
-    assert (out / "requests.jsonl").exists()
-    assert not list(out.glob("shard-*"))
 
 
 def test_cli_collect_mapreduce(tmp_path):

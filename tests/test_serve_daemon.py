@@ -25,6 +25,8 @@ import urllib.request
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro.cli as cli_mod
 from repro._version import tool_version
@@ -52,6 +54,7 @@ from repro.store import (
     take_snapshot,
     write_round_file,
 )
+from repro.store.analyze import reduce_source
 from repro.store.writer import ShardWriter
 from repro.tracing.records import RequestRecord
 
@@ -184,6 +187,39 @@ def test_watcher_raises_when_store_shrinks(store):
     shutil.rmtree(store / "shard-00000001")
     with pytest.raises(StoreShrunkError):
         watcher.poll(resident)
+
+
+@settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    rounds=st.lists(st.integers(1, 2), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_watcher_fold_with_restart_equals_batch_reduce(tmp_path_factory, rounds, data):
+    """Random append rounds, one checkpoint restart: same reducer state."""
+    root = tmp_path_factory.mktemp("rounds")
+    store = root / "traces"
+    restart_after = data.draw(st.integers(0, len(rounds) - 1), label="restart")
+    resident = ResidentAnalysis()
+    for number, replicas in enumerate(rounds):
+        collect_fleet_to_store(
+            FleetSpec(app="gfs", replicas=replicas, n_requests=30, seed=3),
+            store,
+            append=number > 0,
+        )
+        StoreWatcher(store).poll(resident)
+        if number == restart_after:
+            ServeState(resident=resident).save(root / "ck.json")
+            resident = ServeState.load(root / "ck.json").resident
+    batch, _, _ = reduce_source(str(store))
+    assert len(resident.folded) == sum(rounds)
+    # JSON text, so NaN compares equal to NaN.
+    assert json.dumps(resident.reducer.state(), sort_keys=True) == json.dumps(
+        batch.state(), sort_keys=True
+    )
 
 
 def test_resident_rejects_out_of_order_fold(store):

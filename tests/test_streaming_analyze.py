@@ -6,7 +6,7 @@ path on the materialized merge for 1, 2 and 4 workers; per-class
 validation matches a manual per-class split; `repro characterize --in`
 and `repro validate --per-class --in` never construct the merged
 ``TraceSet`` (the stitch path is monkeypatched to explode); and the
-pre-0.3 keyword signatures warn ``DeprecationWarning`` but still work.
+source-taking entry points require their trace source.
 """
 
 import numpy as np
@@ -348,31 +348,28 @@ def test_characterize_and_validate_never_merge(store_dir, monkeypatch, capsys):
     assert "<mix>" in out
 
 
-# -- deprecation shims -------------------------------------------------------
+# -- removed keyword aliases -------------------------------------------------
+# The pre-0.3 keywords no longer warn: they are rejected like any unknown
+# keyword, and the positional source still works.
 
 
 def test_fit_traces_keyword_warns(merged):
-    with pytest.warns(DeprecationWarning, match="traces"):
-        model = KoozaTrainer().fit(traces=merged)
-    assert model.n_training_requests > 0
     with pytest.raises(TypeError):
-        KoozaTrainer().fit(merged, traces=merged)
-    with pytest.raises(TypeError):
-        KoozaTrainer().fit()
-
-
-def test_extract_features_traces_keyword_warns(merged):
-    with pytest.warns(DeprecationWarning):
-        features = extract_request_features(traces=merged)
-    assert features == extract_request_features(merged)
+        KoozaTrainer().fit(traces=merged)
+    assert KoozaTrainer().fit(merged).n_training_requests > 0
 
 
 def test_train_per_class_directory_keyword_warns(store_dir):
-    with pytest.warns(DeprecationWarning):
-        fit = train_per_class(directory=store_dir, workers=1)
-    assert fit.models
-    with pytest.warns(DeprecationWarning), pytest.raises(TypeError):
-        train_per_class(store_dir, directory=store_dir)
+    with pytest.raises(TypeError):
+        train_per_class(directory=store_dir, workers=1)
+    assert train_per_class(store_dir, workers=1).models
+
+
+def test_entry_points_require_a_trace_source():
+    with pytest.raises(TypeError):
+        KoozaTrainer().fit()
+    with pytest.raises(TypeError):
+        extract_request_features()
     with pytest.raises(TypeError):
         train_per_class()
 
