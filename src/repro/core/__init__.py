@@ -38,7 +38,7 @@ from .profile import (
 from .replay import ReplayHarness
 from .serialize import load_model, model_from_dict, model_to_dict, save_model
 from .synthetic import Stage, SyntheticRequest
-from .trainer import KoozaTrainer
+from .trainer import InsufficientTrainingData, KoozaTrainer
 from .validation import (
     ProfileComparison,
     ProfileFeatureStats,
@@ -54,6 +54,7 @@ __all__ = [
     "Capability",
     "CpuSummary",
     "DependencyQueue",
+    "InsufficientTrainingData",
     "KoozaConfig",
     "KoozaModel",
     "KoozaTrainer",

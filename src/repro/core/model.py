@@ -27,6 +27,7 @@ import numpy as np
 
 from ..markov import HierarchicalMarkovChain, MarkovChain, QuantileDiscretizer
 from ..queueing import FittedDistribution
+from ..simulation.rng import choice_cdf, choice_index
 from ..tracing import READ, WRITE
 from .dependency import DependencyQueue
 from .synthetic import HEADER_BYTES, Stage, SyntheticRequest
@@ -93,7 +94,8 @@ class SubsystemCoupler:
             for net_state, bucket in self._counts.items():
                 states = list(bucket)
                 probs = np.array([bucket[s] for s in states])
-                self._tables[net_state] = (states, probs / probs.sum())
+                cdf = choice_cdf(probs / probs.sum())
+                self._tables[net_state] = (states, cdf)
         return self._tables
 
     def known(self, net_state: Hashable) -> bool:
@@ -104,8 +106,8 @@ class SubsystemCoupler:
         tables = self._build()
         if net_state not in tables:
             raise KeyError(f"network state {net_state!r} never observed")
-        states, probs = tables[net_state]
-        return states[int(rng.choice(len(states), p=probs))]
+        states, cdf = tables[net_state]
+        return states[choice_index(cdf, rng)]
 
     def mode(self, net_state: Hashable) -> Hashable:
         """Most frequent subsystem state for a network state."""
@@ -291,6 +293,9 @@ class KoozaModel:
         net_path = self.network_chain.sample_path(n, rng)
         sto_prev = mem_prev = cpu_prev = None
         lbn_cursor = 0
+        # Activation counts per distinct stage sequence (a handful per
+        # model), computed on first use instead of once per request.
+        counts_by_sequence: dict[tuple[str, ...], dict[str, int]] = {}
         for net_state in net_path:
             t += sample_gap()
             net_bytes = max(
@@ -325,10 +330,12 @@ class KoozaModel:
             # per request (e.g. one cpu_lookup per tier); per-request
             # budgets learned from traces are spread over those
             # activations.
-            counts = {
-                name: max(1, sum(1 for s in sequence if s == name))
-                for name in set(sequence)
-            }
+            counts = counts_by_sequence.get(sequence)
+            if counts is None:
+                counts = counts_by_sequence[sequence] = {
+                    name: max(1, sum(1 for s in sequence if s == name))
+                    for name in set(sequence)
+                }
             stages = []
             for name in sequence:
                 if name == "network_rx":

@@ -20,7 +20,25 @@ from .dependency import mine_dependency_queue
 from .features import RequestFeatures, extract_request_features
 from .model import CpuBinStats, KoozaConfig, KoozaModel
 
-__all__ = ["KoozaTrainer"]
+__all__ = ["InsufficientTrainingData", "KoozaTrainer"]
+
+#: Fewest complete feature vectors a model can be fitted from.
+MIN_TRAINING_REQUESTS = 16
+
+
+class InsufficientTrainingData(ValueError):
+    """Too few complete requests to fit a model.
+
+    A request is complete when every subsystem record it needs is in
+    the trace; ``n_complete`` is how many the source held.
+    """
+
+    def __init__(self, n_complete: int):
+        super().__init__(
+            f"need >= {MIN_TRAINING_REQUESTS} complete requests to train, "
+            f"got {n_complete}"
+        )
+        self.n_complete = n_complete
 
 
 class KoozaTrainer:
@@ -37,10 +55,8 @@ class KoozaTrainer:
         :class:`~repro.tracing.FlatTraceDump`.
         """
         features = extract_request_features(source)
-        if len(features) < 16:
-            raise ValueError(
-                f"need >= 16 complete requests to train, got {len(features)}"
-            )
+        if len(features) < MIN_TRAINING_REQUESTS:
+            raise InsufficientTrainingData(len(features))
         model = KoozaModel(self.config)
         model.n_training_requests = len(features)
         self._fit_network(model, features)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..simulation import Environment, RandomStreams
+from ..simulation.rng import choice_cdf, choice_index
 from ..tracing import READ, WRITE, RequestRecord, Tracer
 from .gfs import HEADER_BYTES
 from .machine import Machine, MachineSpec
@@ -141,11 +142,7 @@ class WebAppCluster:
         self._rr = {"web": 0, "app": 0, "db": 0}
         self._buffer_cursor = 0
         weights = np.array([c.weight for c in spec.classes], dtype=float)
-        self._class_probs = weights / weights.sum()
-        # Precomputed cdf: searchsorted on one raw double draws the same
-        # index sequence as ``choice(n, p=...)`` at a fraction of the cost.
-        self._class_cdf = self._class_probs.cumsum()
-        self._class_cdf /= self._class_cdf[-1]
+        self._class_cdf = choice_cdf(weights / weights.sum())
 
     def _pick(self, tier: str, machines: list[Machine]) -> Machine:
         machine = machines[self._rr[tier] % len(machines)]
@@ -154,8 +151,7 @@ class WebAppCluster:
 
     def make_request(self, rng: np.random.Generator) -> WebRequest:
         """Draw a request from the class mix (random DB block)."""
-        index = int(self._class_cdf.searchsorted(rng.random(), side="right"))
-        rc = self.spec.classes[index]
+        rc = self.spec.classes[choice_index(self._class_cdf, rng)]
         lbn = int(rng.integers(0, self.spec.db_working_set_blocks))
         return WebRequest(
             request_class=rc.name,

@@ -13,6 +13,8 @@ from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
+from ..simulation.rng import choice_cdf, choice_index
+
 __all__ = ["MarkovChain"]
 
 
@@ -45,6 +47,10 @@ class MarkovChain:
             raise ValueError("initial distribution must be a length-n simplex point")
         self.initial_distribution = initial
         self._index = {state: i for i, state in enumerate(self.states)}
+        # Draw tables for sample_path, built once (the chain is never
+        # mutated after construction).
+        self._initial_cdf = choice_cdf(initial)
+        self._row_cdfs = [choice_cdf(row) for row in matrix]
 
     @property
     def n_states(self) -> int:
@@ -99,15 +105,15 @@ class MarkovChain:
         if n_steps < 1:
             raise ValueError(f"need >= 1 step, got {n_steps}")
         if start is None:
-            current = int(rng.choice(self.n_states, p=self.initial_distribution))
+            current = choice_index(self._initial_cdf, rng)
         else:
             current = self.index_of(start)
-        path = [self.states[current]]
+        states = self.states
+        row_cdfs = self._row_cdfs
+        path = [states[current]]
         for _ in range(n_steps - 1):
-            current = int(
-                rng.choice(self.n_states, p=self.transition_matrix[current])
-            )
-            path.append(self.states[current])
+            current = choice_index(row_cdfs[current], rng)
+            path.append(states[current])
         return path
 
     def stationary_distribution(self) -> np.ndarray:

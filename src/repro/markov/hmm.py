@@ -14,6 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..simulation.rng import choice_cdf, choice_index
+
 __all__ = ["GaussianHMM"]
 
 _LOG_EPS = 1e-300
@@ -170,12 +172,15 @@ class GaussianHMM:
         self._check_fitted()
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
+        # Draw tables are built per call: fit() replaces transition_.
+        rng = self.rng
+        row_cdfs = [choice_cdf(row) for row in self.transition_]
         states = np.empty(n, dtype=int)
-        states[0] = int(self.rng.choice(self.n_states, p=self.initial_))
+        current = choice_index(choice_cdf(self.initial_), rng)
+        states[0] = current
         for t in range(1, n):
-            states[t] = int(
-                self.rng.choice(self.n_states, p=self.transition_[states[t - 1]])
-            )
-        return self.rng.normal(
+            current = choice_index(row_cdfs[current], rng)
+            states[t] = current
+        return rng.normal(
             self.means_[states], np.sqrt(self.variances_[states])
         )

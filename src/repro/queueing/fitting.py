@@ -9,6 +9,7 @@ becomes the generative model for synthetic streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,9 +23,14 @@ __all__ = ["FittedDistribution", "fit_distribution", "CANDIDATE_FAMILIES"]
 CANDIDATE_FAMILIES = ("expon", "gamma", "lognorm", "weibull_min", "pareto")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FittedDistribution:
-    """One fitted family with its goodness-of-fit scores."""
+    """One fitted family with its goodness-of-fit scores.
+
+    Immutable, so the scipy frozen distribution is built once per
+    instance: building one runs scipy's argument checks and docstring
+    formatter, which used to dominate per-request arrival sampling.
+    """
 
     family: str
     params: tuple[float, ...]
@@ -32,7 +38,7 @@ class FittedDistribution:
     ks_pvalue: float
     log_likelihood: float
 
-    @property
+    @cached_property
     def frozen(self):
         """The frozen scipy distribution for sampling/evaluation."""
         return getattr(stats, self.family)(*self.params)

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..snapshot import SNAPSHOT_VERSION, check_state
 
-__all__ = ["RandomStreams", "BufferedStream"]
+__all__ = ["RandomStreams", "BufferedStream", "choice_cdf", "choice_index"]
 
 #: Domain separator mixed into derivation keys of forked factories.  A
 #: legacy (unforked) key is ``[seed] + encoded-path`` whose second
@@ -50,6 +50,30 @@ def _encode_path(path: tuple[str, ...]) -> list[int]:
         key.append(len(data))
         key.extend(data)
     return key
+
+
+def choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The cumulative table ``Generator.choice(n, p=p)`` builds from ``p``.
+
+    ``choice`` validates ``p``, takes ``p.cumsum()``, divides it by its
+    last entry and searches it on *every* call.  Building the table once
+    per distribution and drawing with :func:`choice_index` repeats the
+    same float64 arithmetic, so it yields the identical index from the
+    identical bit-generator state.  Callers validate ``p`` themselves
+    (non-negative, sums to 1) since ``choice`` no longer does.
+    """
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def choice_index(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw one index from a :func:`choice_cdf` table.
+
+    Consumes exactly one raw double, as ``Generator.choice(n, p=p)``
+    does, and returns the index it returns for that double.
+    """
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 class BufferedStream:

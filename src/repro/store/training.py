@@ -14,9 +14,14 @@ single-process fit would build (same records, same order), the parallel
 result is identical to the serial one — the validation contract the
 tests pin down with serialized-model equality.
 
-The classes worth fitting are known *before* any stream file is opened:
-manifests carry per-class completed-request counts, so undertrained
-classes are skipped up front and reported, not discovered by exception.
+The classes worth fitting are mostly known *before* any stream file is
+opened: manifests carry per-class completed-request counts, so
+undertrained classes are skipped up front.  A class can still have
+enough completed requests but too few *complete* ones (every subsystem
+record present — mapreduce tasks, for instance, touch no memory
+model); the fit reports those with a typed
+:class:`~repro.core.InsufficientTrainingData` and the class is skipped
+the same way, without aborting the other classes.
 
 ``repro.core`` is imported lazily inside functions: the core package
 pulls in :mod:`repro.datacenter`, whose fleet module imports this
@@ -63,19 +68,32 @@ class ClassFitTask:
     config: Optional["KoozaConfig"] = None
 
 
-def fit_request_class(task: ClassFitTask) -> tuple[str, dict]:
+def fit_request_class(task: ClassFitTask) -> tuple[str, dict | int]:
     """Worker entry point: fit one class, return its serialized model.
 
     Returns ``(request_class, model_dict)`` — the JSON-able serialized
     form, a few KB, instead of a live model object, keeping the pool's
-    IPC as thin as the collection side's manifests.
+    IPC as thin as the collection side's manifests.  A class with too
+    few complete requests returns ``(request_class, n_complete)``.
     """
-    from ..core import KoozaTrainer, model_to_dict
+    from ..core import model_to_dict
 
     store = ShardStore(task.directory)
     traces = store.class_traces(task.request_class)
-    model = KoozaTrainer(task.config).fit(traces)
-    return task.request_class, model_to_dict(model)
+    fitted = _fit_or_count(traces, task.config)
+    if isinstance(fitted, int):
+        return task.request_class, fitted
+    return task.request_class, model_to_dict(fitted)
+
+
+def _fit_or_count(traces: TraceSource, config: Optional["KoozaConfig"]):
+    """A fitted model, or the complete-request count when too thin."""
+    from ..core import InsufficientTrainingData, KoozaTrainer
+
+    try:
+        return KoozaTrainer(config).fit(traces)
+    except InsufficientTrainingData as error:
+        return error.n_complete
 
 
 @dataclass
@@ -83,7 +101,9 @@ class PerClassFit:
     """The reduced result of a shard-parallel training run."""
 
     models: dict[str, "KoozaModel"]
-    #: Classes below the trainable threshold, with their request counts.
+    #: Classes not fitted: those below ``min_requests`` with their
+    #: completed-request count, and those whose fit found too few
+    #: complete requests with that complete-request count.
     skipped: dict[str, int] = field(default_factory=dict)
     workers: int = 1
     elapsed_seconds: float = 0.0
@@ -114,8 +134,8 @@ def train_per_class(
     exactly.  Other sources are split by class in-process (their
     records already live in this process, so there is nothing to gain
     from shipping them across a pool).  Classes with fewer than
-    ``min_requests`` completed requests are skipped and reported in
-    :attr:`PerClassFit.skipped`.
+    ``min_requests`` completed requests, or too few complete ones to
+    fit, are skipped and reported in :attr:`PerClassFit.skipped`.
 
     With ``cache=True`` (stores only) each class's serialized fit is
     persisted under ``<store>/_cache/models/`` keyed by the store-wide
@@ -187,17 +207,24 @@ def train_per_class(
         ]
         results = run_sharded(fit_request_class, tasks, workers)
         for cls, data in results:
+            if isinstance(data, int):
+                skipped[cls] = data
+                continue
             models[cls] = model_from_dict(data)
             if cache:
                 save_model_cache(cache_paths[cls], cls, data)
-        models = {cls: models[cls] for cls in trainable}
+        models = {cls: models[cls] for cls in trainable if cls in models}
     else:
-        from ..core import KoozaTrainer, split_traces_by_class
+        from ..core import split_traces_by_class
 
         by_class = split_traces_by_class(as_trace_set(source))
-        models = {
-            cls: KoozaTrainer(config).fit(by_class[cls]) for cls in trainable
-        }
+        models = {}
+        for cls in trainable:
+            fitted = _fit_or_count(by_class[cls], config)
+            if isinstance(fitted, int):
+                skipped[cls] = fitted
+            else:
+                models[cls] = fitted
         workers = 1
     elapsed = time.perf_counter() - start
     return PerClassFit(

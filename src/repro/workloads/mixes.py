@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..datacenter.gfs import GfsRequest
+from ..simulation.rng import choice_cdf, choice_index
 from ..tracing import READ, WRITE
 
 __all__ = [
@@ -89,13 +90,7 @@ class WorkloadMix:
         weights = np.array([c.weight for c in classes], dtype=float)
         if np.any(weights < 0) or weights.sum() <= 0:
             raise ValueError("class weights must be non-negative, not all zero")
-        self._probabilities = weights / weights.sum()
-        # ``Generator.choice(n, p=p)`` normalizes p, builds the cdf and
-        # searches it on every call (~50us); precomputing the cdf once
-        # and searching it against one raw double draws the identical
-        # index sequence from the identical bit-generator state.
-        self._cdf = self._probabilities.cumsum()
-        self._cdf /= self._cdf[-1]
+        self._cdf = choice_cdf(weights / weights.sum())
         # Separate each class's file region so classes do not thrash each
         # other's sequential streams.
         self._patterns = {
@@ -105,8 +100,7 @@ class WorkloadMix:
 
     def sample_class(self) -> RequestClass:
         """Draw a request class according to the mix weights."""
-        index = self._cdf.searchsorted(self.rng.random(), side="right")
-        return self.classes[int(index)]
+        return self.classes[choice_index(self._cdf, self.rng)]
 
     def make_request(self) -> GfsRequest:
         """Draw one complete GFS request."""

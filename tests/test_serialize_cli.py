@@ -143,9 +143,50 @@ def test_cli_train_and_validate_reject_too_few_requests(tmp_path):
     model_path = tmp_path / "model.json"
     train = ["train", "--in", str(traces_dir), "--model", str(model_path)]
     validate = ["validate", "--in", str(traces_dir)]
-    for argv in (train, train + ["--per-class"], validate, validate + ["--per-class"]):
+    for argv in (train, validate):
         assert "need >= 16 complete requests" in _exit_message(argv)
     assert not model_path.exists()
+
+
+@pytest.mark.parametrize("replicas", ["1", "2"], ids=["flat", "store"])
+def test_cli_per_class_skips_classes_without_complete_requests(
+    tmp_path, capsys, replicas
+):
+    # Every mapreduce class completes requests but none has a complete
+    # feature vector: per-class commands skip them all, cleanly.
+    traces_dir = tmp_path / "mr"
+    collect = ["collect", "--app", "mapreduce", "--replicas", replicas]
+    assert main(collect + ["--out", str(traces_dir)]) == 0
+    model_path = tmp_path / "model.json"
+    train = ["train", "--in", str(traces_dir), "--model", str(model_path)]
+    message = _exit_message(train + ["--per-class"])
+    assert "no request class reached the trainable minimum" in message
+    assert "'map': 0" in message and "'reduce': 0" in message
+    assert not model_path.exists()
+    capsys.readouterr()
+    assert main(["validate", "--in", str(traces_dir), "--per-class"]) == 1
+    assert "no request class could be compared" in capsys.readouterr().out
+
+
+def test_cli_per_class_fits_complete_classes_of_a_mixed_store(tmp_path, capsys):
+    store = tmp_path / "mixed"
+    assert main(
+        ["collect", "--app", "gfs", "--requests", "150", "--replicas", "2",
+         "--out", str(store)]
+    ) == 0
+    assert main(
+        ["append", "--app", "mapreduce", "--replicas", "2", "--out", str(store)]
+    ) == 0
+    model_path = tmp_path / "classes.json"
+    capsys.readouterr()
+    argv = ["train", "--in", str(store), "--per-class", "--model", str(model_path)]
+    assert main(argv) == 0
+    assert "skipped ['map', 'reduce']" in capsys.readouterr().out
+    classes = json.loads(model_path.read_text())["classes"]
+    assert sorted(classes) == ["read_64K", "write_4M"]
+    argv = ["validate", "--in", str(store), "--per-class", "--no-cache"]
+    assert main(argv) == 0
+    assert "classes validated: 2/2" in capsys.readouterr().out
 
 
 def test_cli_validate_missing_model_file(gfs_run, tmp_path):

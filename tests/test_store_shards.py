@@ -423,6 +423,31 @@ def test_per_class_training_skips_undertrained_classes(trained_store):
     assert fit.skipped == counts
 
 
+def test_per_class_training_skips_classes_without_complete_requests(tmp_path):
+    # Mapreduce classes pass the completed-request filter but have no
+    # complete feature vectors; they are skipped with that count (0)
+    # while the gfs classes of the same store are still fitted.
+    collect_fleet_to_store(
+        FleetSpec(app="gfs", replicas=2, seed=5, n_requests=60), directory=tmp_path
+    )
+    collect_fleet_to_store(
+        FleetSpec(app="mapreduce", replicas=2, seed=5, n_requests=1),
+        directory=tmp_path,
+        append=True,
+    )
+    fits = [
+        train_per_class(tmp_path, workers=1),
+        train_per_class(tmp_path, workers=2),
+        train_per_class(ShardStore(tmp_path).merged()),
+    ]
+    for fit in fits:
+        assert fit.skipped == {"map": 0, "reduce": 0}
+        assert sorted(fit.models) == ["read_64K", "write_4M"]
+    for cls in fits[0].models:
+        reference = _model_json(fits[0].models[cls])
+        assert all(_model_json(fit.models[cls]) == reference for fit in fits)
+
+
 def test_per_class_models_round_trip(trained_store, tmp_path):
     fit = train_per_class(trained_store, workers=1)
     path = save_per_class_models(fit.models, tmp_path / "classes.json")
