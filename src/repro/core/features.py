@@ -10,22 +10,42 @@ correlations between individual subsystem models the paper highlights
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from dataclasses import dataclass, fields
+from typing import Any, Mapping
 
 import numpy as np
 
-from ..tracing import TraceSource, build_trace_trees
+from ..tracing import TraceSource, source_columns
 from ..tracing.columnar import StringColumn
 
 __all__ = [
+    "FEATURE_COLUMNS",
     "RequestFeatures",
     "extract_request_features",
     "request_feature_columns",
+    "source_feature_columns",
 ]
 
 #: Servers whose records are control-plane, not data-path.
 _CONTROL_SERVERS = ("master",)
+
+#: Storage block size the seek gaps are measured in.
+_BLOCK = 4096
+
+#: The columns :func:`request_feature_columns` reads, per stream.
+FEATURE_COLUMNS: dict[str, tuple[str, ...]] = {
+    "network": ("request_id", "server", "size_bytes"),
+    "cpu": ("request_id", "server", "busy_seconds", "phase"),
+    "memory": ("request_id", "timestamp", "bank", "size_bytes", "op"),
+    "storage": ("request_id", "timestamp", "lbn", "size_bytes", "op"),
+    "requests": (
+        "request_id",
+        "request_class",
+        "server",
+        "arrival_time",
+        "completion_time",
+    ),
+}
 
 
 @dataclass
@@ -47,7 +67,6 @@ class RequestFeatures:
     storage_bytes: int
     storage_lbn: int
     storage_delta: int = 0  # seek gap vs the previous request on this server
-    stage_sequence: Optional[list[str]] = None
 
     @property
     def cpu_busy(self) -> float:
@@ -59,85 +78,34 @@ class RequestFeatures:
         return self.cpu_busy / self.latency if self.latency > 0 else 0.0
 
 
-def extract_request_features(source: TraceSource) -> list[RequestFeatures]:
-    """Assemble per-request feature vectors, sorted by arrival time.
+_FIELDS = tuple(f.name for f in fields(RequestFeatures))
 
-    Accepts any :class:`~repro.tracing.TraceSource` — an in-memory
-    :class:`~repro.tracing.TraceSet`, a lazy
-    :class:`repro.store.ShardStore`, or a
-    :class:`~repro.tracing.FlatTraceDump` — and folds over its streams
-    without requiring list attributes.  Control-plane records (master
-    lookups) are excluded from the data-path features.  Requests
-    missing any subsystem record (e.g. cut off at simulation end) are
-    dropped.
-    """
-    storage_by_request: dict[int, list] = {}
-    for r in source.iter_records("storage"):
-        storage_by_request.setdefault(r.request_id, []).append(r)
-    memory_by_request: dict[int, list] = {}
-    for r in source.iter_records("memory"):
-        memory_by_request.setdefault(r.request_id, []).append(r)
-    cpu_by_request: dict[int, list] = {}
-    for r in source.iter_records("cpu"):
-        if r.server not in _CONTROL_SERVERS:
-            cpu_by_request.setdefault(r.request_id, []).append(r)
-    network_by_request: dict[int, list] = {}
-    for r in source.iter_records("network"):
-        if r.server not in _CONTROL_SERVERS:
-            network_by_request.setdefault(r.request_id, []).append(r)
-    stage_by_request: dict[int, list[str]] = {}
-    for tree in build_trace_trees(list(source.iter_records("spans"))):
-        stage_by_request[tree.trace_id] = tree.stage_sequence()
 
-    completed = (
-        r
-        for r in source.iter_records("requests")
-        if r.completion_time > r.arrival_time
+def source_feature_columns(source: TraceSource) -> dict[str, Any]:
+    """:func:`request_feature_columns` over any source's stitched
+    columns (see :func:`repro.tracing.source_columns`)."""
+    return request_feature_columns(
+        {
+            stream: source_columns(source, stream, names)
+            for stream, names in FEATURE_COLUMNS.items()
+        }
     )
-    features = []
-    for record in completed:
-        rid = record.request_id
-        storage = sorted(
-            storage_by_request.get(rid, []), key=lambda r: r.timestamp
-        )
-        memory = sorted(memory_by_request.get(rid, []), key=lambda r: r.timestamp)
-        cpu = cpu_by_request.get(rid, [])
-        network = network_by_request.get(rid, [])
-        if not storage or not memory or not cpu or not network:
-            continue
-        lookup = sum(r.busy_seconds for r in cpu if r.phase == "lookup")
-        aggregate = sum(r.busy_seconds for r in cpu if r.phase != "lookup")
-        features.append(
-            RequestFeatures(
-                request_id=rid,
-                request_class=record.request_class,
-                server=record.server,
-                arrival_time=record.arrival_time,
-                latency=record.latency,
-                network_bytes=max(r.size_bytes for r in network),
-                cpu_lookup_busy=lookup,
-                cpu_aggregate_busy=aggregate,
-                memory_op=memory[0].op,
-                memory_bytes=sum(r.size_bytes for r in memory),
-                memory_bank=memory[0].bank,
-                storage_op=storage[0].op,
-                storage_bytes=sum(r.size_bytes for r in storage),
-                storage_lbn=storage[0].lbn,
-                stage_sequence=stage_by_request.get(rid),
-            )
-        )
-    features.sort(key=lambda f: f.arrival_time)
 
-    # Seek deltas between consecutive requests on the same server.
-    block = 4096
-    last_end: dict[str, int] = {}
-    for f in features:
-        blocks = max(1, -(-f.storage_bytes // block))
-        if f.server in last_end:
-            f.storage_delta = f.storage_lbn - last_end[f.server]
-        f.storage_delta = int(f.storage_delta)
-        last_end[f.server] = f.storage_lbn + blocks
-    return features
+
+def extract_request_features(source: TraceSource) -> list[RequestFeatures]:
+    """Per-request feature vectors, sorted by arrival time.
+
+    The rows of :func:`source_feature_columns` as
+    :class:`RequestFeatures` of plain Python scalars.  Control-plane
+    records (master lookups) are excluded from the data-path features;
+    requests missing any subsystem record (e.g. cut off at simulation
+    end) are dropped.
+    """
+    cols = source_feature_columns(source)
+    return [
+        RequestFeatures(*row)
+        for row in zip(*(cols[name].tolist() for name in _FIELDS))
+    ]
 
 
 def _group_boundaries(sorted_ids: np.ndarray) -> np.ndarray:
@@ -162,25 +130,25 @@ def _membership(sorted_unique: np.ndarray, ids: np.ndarray) -> np.ndarray:
 def request_feature_columns(
     streams: Mapping[str, Mapping[str, Any]],
 ) -> dict[str, Any]:
-    """Vectorized :func:`extract_request_features` over column dicts.
+    """The request-feature join, over column dicts.
 
-    ``streams`` maps stream name → (shifted) column dict for
-    ``storage``, ``memory``, ``cpu``, ``network`` and ``requests``;
-    the result holds one column per feature the downstream statistics
-    consume (``request_class``, ``arrival_time``, ``latency``,
-    ``network_bytes``, ``cpu_utilization``, ``memory_op``,
-    ``memory_bytes``, ``storage_op``, ``storage_bytes``), rows in the
-    same arrival-sorted order the record path produces.
+    ``streams`` maps stream name → (stitched or shifted) column dict
+    for ``storage``, ``memory``, ``cpu``, ``network`` and ``requests``,
+    holding at least the :data:`FEATURE_COLUMNS`.  The result holds
+    one column per :class:`RequestFeatures` field plus
+    ``cpu_utilization``, one row per complete request, sorted by
+    arrival time.
 
-    Equivalence to the record path is exact, not approximate: integer
-    sums/maxima are order-free; the CPU lookup/aggregate busy sums use
-    ``np.add.at``, which performs the same scalar float adds in the
-    same stream order as the per-record ``sum``; first-by-timestamp
-    selections replicate Python's stable sort tie-breaking; and the
-    final ordering is a stable argsort on arrival time over rows in
-    requests-stream order — the record path's ``list.sort``.
-    (``storage_delta`` and ``stage_sequence`` are not assembled here:
-    no feature statistic consumes them.)
+    The join is exact, so the rows equal the per-record walk it
+    replaced: integer sums/maxima are order-free; the CPU
+    lookup/aggregate busy sums use ``np.add.at``, which performs the
+    same scalar float adds in the same stream order as a per-record
+    ``sum``; first-by-timestamp selections replicate Python's stable
+    sort tie-breaking; the final ordering is a stable argsort on
+    arrival time over rows in requests-stream order; and
+    ``storage_delta`` — the seek gap to where the previous request on
+    the same server ended — follows that arrival order, so on stitched
+    columns it carries across shard seams.
     """
     storage = streams["storage"]
     memory = streams["memory"]
@@ -260,21 +228,41 @@ def request_feature_columns(
     with np.errstate(divide="ignore", invalid="ignore"):
         utilization = np.where(latency > 0, busy / latency, 0.0)
 
+    # Seek gaps: each request's first lbn minus where the previous
+    # request on the same server (in arrival order) ended.
+    server = requests["server"].take(final)
+    storage_lbn = np.asarray(storage["lbn"])[sto_first[sto_at]]
+    storage_bytes = sto_sums[sto_at]
+    ends = storage_lbn + np.maximum(1, -(-storage_bytes // _BLOCK))
+    by_server = np.argsort(server.codes, kind="stable")
+    same = server.codes[by_server[1:]] == server.codes[by_server[:-1]]
+    storage_delta = np.zeros(final.size, dtype=np.int64)
+    storage_delta[by_server[1:][same]] = (
+        storage_lbn[by_server[1:]] - ends[by_server[:-1]]
+    )[same]
+
     mem_op = memory["op"]
     sto_op = storage["op"]
     return {
         "n": int(final.size),
+        "request_id": rid_final,
         "request_class": requests["request_class"].take(final),
+        "server": server,
         "arrival_time": arrival[final],
         "latency": latency,
         "network_bytes": net_max[net_at],
+        "cpu_lookup_busy": lookup_sums[cpu_at],
+        "cpu_aggregate_busy": aggregate_sums[cpu_at],
         "cpu_utilization": utilization,
         "memory_op": StringColumn(
             mem_op.codes[mem_first[mem_at]], mem_op.values
         ),
         "memory_bytes": mem_sums[mem_at],
+        "memory_bank": np.asarray(memory["bank"])[mem_first[mem_at]],
         "storage_op": StringColumn(
             sto_op.codes[sto_first[sto_at]], sto_op.values
         ),
-        "storage_bytes": sto_sums[sto_at],
+        "storage_bytes": storage_bytes,
+        "storage_lbn": storage_lbn,
+        "storage_delta": storage_delta,
     }

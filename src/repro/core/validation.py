@@ -28,7 +28,7 @@ from ..stats import (
 )
 from ..tracing import TraceSource
 from ..tracing.columnar import take_columns
-from .features import RequestFeatures, extract_request_features
+from .features import RequestFeatures, extract_request_features, source_feature_columns
 
 __all__ = [
     "ProfileComparison",
@@ -344,8 +344,9 @@ class WorkloadFeatureStats:
 
     @classmethod
     def from_source(cls, source: TraceSource) -> "WorkloadFeatureStats":
-        """Fold one source's request features into fresh statistics."""
-        return cls.from_features(extract_request_features(source))
+        """Fold one source's feature columns into fresh statistics,
+        the way the analysis side folds each shard."""
+        return cls.from_feature_columns(source_feature_columns(source))
 
     def merge(self, other: "WorkloadFeatureStats") -> "WorkloadFeatureStats":
         for key, stats in other.profiles.items():

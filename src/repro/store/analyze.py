@@ -107,18 +107,18 @@ class ShardAnalysisTask:
     max_quantile_values: Optional[int] = None
 
 
-#: Columns each analysis stream fold actually consumes — the union of
-#: what ``WorkloadProfileBuilder.update_batch`` and
-#: ``request_feature_columns`` read.  Columnar shards open only these
-#: ``.bin`` files; jsonl shards decode once and pivot to the same
-#: subset.  The two ``json`` columns (``extra``, ``annotations``) are
-#: never requested: no analysis statistic consumes them.
-_ANALYSIS_COLUMNS = {
-    "network": ("request_id", "server", "timestamp", "size_bytes", "direction"),
-    "cpu": ("request_id", "server", "timestamp", "busy_seconds", "phase"),
-    "memory": ("request_id", "timestamp", "size_bytes", "op"),
-    "storage": ("request_id", "timestamp", "lbn", "size_bytes", "op", "queue_depth"),
-    "requests": ("request_id", "request_class", "arrival_time", "completion_time"),
+#: Columns ``WorkloadProfileBuilder.update_batch`` reads, per stream.
+#: The fold loads these plus the feature join's
+#: :data:`~repro.core.features.FEATURE_COLUMNS`: columnar shards open
+#: only those ``.bin`` files; jsonl shards decode once and pivot to the
+#: same subset.  The two ``json`` columns (``extra``, ``annotations``)
+#: are never requested: no analysis statistic consumes them.
+_PROFILE_COLUMNS = {
+    "network": ("timestamp", "size_bytes", "direction"),
+    "cpu": ("timestamp", "busy_seconds"),
+    "memory": ("timestamp", "size_bytes", "op"),
+    "storage": ("timestamp", "lbn", "size_bytes", "op", "queue_depth"),
+    "requests": ("request_class", "arrival_time", "completion_time"),
     "spans": ("start", "end"),
 }
 
@@ -132,8 +132,8 @@ def _fold_columns(
 ):
     """The one shard fold: ``(profile_builder, feature_stats, per_class_stats)``.
 
-    ``load(stream, names)`` returns one stream's full column arrays (or
-    ``None`` for an empty stream).  Each stream is shifted in column
+    ``load(stream, names)`` returns one stream's full column arrays
+    (zero-length for an empty stream).  Each stream is shifted in column
     space by the stitch ``offsets`` and folded through the vectorized
     ``update_batch`` accumulators, so per-record Python dispatch never
     runs on this path and every source — columnar shard, jsonl shard,
@@ -145,20 +145,18 @@ def _fold_columns(
         WorkloadProfileBuilder,
         request_feature_columns,
     )
-    from ..tracing.columnar import columns_from_records, shift_columns, take_columns
+    from ..core.features import FEATURE_COLUMNS
+    from ..tracing.columnar import shift_columns, take_columns
 
     builder = WorkloadProfileBuilder(
         window=window, cores=cores, max_quantile_values=max_quantile_values
     )
     shard_columns: dict[str, dict] = {}
     for stream in STREAM_TYPES:
-        names = list(_ANALYSIS_COLUMNS[stream])
-        cols = load(stream, names)
-        if cols is None:  # empty stream: fold zero-length columns
-            cols = columns_from_records(stream, [], names)
+        names = sorted({*_PROFILE_COLUMNS[stream], *FEATURE_COLUMNS.get(stream, ())})
         cols = shift_columns(
             stream,
-            cols,
+            load(stream, names),
             time_offset=offsets.time,
             request_id_offset=offsets.request_id,
             span_id_offset=offsets.span_id,
@@ -394,13 +392,11 @@ def reduce_source(
             source.directory, shards, reducer.params, workers, cache
         )
     else:
-        from ..tracing.columnar import columns_from_records
+        from ..tracing import source_columns
 
         results = [
             _fold_columns(
-                lambda stream, names: columns_from_records(
-                    stream, list(source.iter_records(stream)), names
-                ),
+                lambda stream, names: source_columns(source, stream, names),
                 StitchOffsets(),
                 window,
                 cores,

@@ -24,13 +24,18 @@ import json
 from pathlib import Path
 from typing import Any, Iterator
 
+import numpy as np
+
 from ..tracing import TraceSet, shift_request, shift_span, shift_subsystem_record
 from ..tracing.columnar import (
     columns_from_records,
     find_columnar_stream,
     iter_columnar_records,
     read_columnar_columns,
+    records_from_columns,
+    take_columns,
 )
+from ..tracing.source import source_columns
 from ..tracing.store import (
     STREAM_TYPES,
     find_stream_file,
@@ -250,22 +255,23 @@ class ShardStore:
         manifest: ShardManifest,
         stream: str,
         names: "list[str] | None" = None,
-    ) -> "dict[str, Any] | None":
+    ) -> "dict[str, Any]":
         """One shard's stream as full (unshifted) column arrays.
 
         The analyzer's entry point: columnar shards serve their buffers
         directly; jsonl shards decode once and pivot through
         :func:`repro.tracing.columnar.columns_from_records`.  Both
         codecs hand back the identical representation, which is what
-        makes cross-codec analyses byte-identical.  ``None`` when the
-        stream has no file (empty stream).
+        makes cross-codec analyses byte-identical.  A stream with no
+        file (empty stream) loads as zero-length columns.
         """
         shard_dir = self.shard_dir(manifest)
         path = find_stream_file(shard_dir, stream)
-        if path is not None:
-            records = list(iter_stream_records(path, STREAM_TYPES[stream]))
-            return columns_from_records(stream, records, names)
-        return read_columnar_columns(shard_dir, stream, names)
+        if path is None:
+            cols = read_columnar_columns(shard_dir, stream, names)
+            return cols if cols is not None else columns_from_records(stream, [], names)
+        records = list(iter_stream_records(path, STREAM_TYPES[stream]))
+        return columns_from_records(stream, records, names)
 
     def iter_stream(self, stream: str) -> Iterator:
         """Yield all shards' records for ``stream``, stitched.
@@ -292,24 +298,25 @@ class ShardStore:
     def class_traces(self, request_class: str) -> TraceSet:
         """The stitched records belonging to one request class.
 
-        Materializes only that class's records: the requests stream is
-        scanned to learn the class's (globally unique, post-stitch)
-        request ids, then the other streams are filtered against them.
+        Each stream is read as stitched columns
+        (:func:`repro.tracing.source_columns`), masked to the class's
+        (globally unique, post-stitch) request ids, and materialized as
+        record objects for the kept rows only.
         """
+        requests = source_columns(self, "requests")
+        keep = requests["request_class"].mask(request_class)
+        ids = requests["request_id"][keep]
         traces = TraceSet()
-        ids: set[int] = set()
-        for record in self.iter_stream("requests"):
-            if record.request_class == request_class:
-                ids.add(record.request_id)
-                traces.requests.append(record)
-        for stream in ("network", "cpu", "memory", "storage"):
-            records = getattr(traces, stream)
-            for record in self.iter_stream(stream):
-                if record.request_id in ids:
-                    records.append(record)
-        for span in self.iter_stream("spans"):
-            if span.trace_id in ids:
-                traces.spans.append(span)
+        for stream in STREAM_TYPES:
+            if stream == "requests":
+                cols, rows = requests, keep
+            else:
+                cols = source_columns(self, stream)
+                key = "trace_id" if stream == "spans" else "request_id"
+                rows = np.isin(cols[key], ids)
+            getattr(traces, stream).extend(
+                records_from_columns(stream, take_columns(cols, rows))
+            )
         return traces
 
     # -- export --------------------------------------------------------------

@@ -5,9 +5,15 @@ class's four subsystem models, couplers and dependency queue depend
 only on that class's records.  The map phase hands each worker process
 a ``(store directory, request class)`` task: the worker opens the
 :class:`~repro.store.shards.ShardStore` itself (no trace records cross
-the pool), materializes just its class's stitched records across all
-shards, and fits a :class:`~repro.core.KoozaModel`.  The reduce phase
-collects the serialized models into one per-class table.
+the pool) and reads its class with
+:meth:`~repro.store.shards.ShardStore.class_traces`: each stream is
+loaded as stitched columns across all shards, masked to the class's
+request ids, and only the kept rows become records.  The fit joins
+those records' columns into per-request features with
+:func:`~repro.core.features.request_feature_columns` — the same join
+analysis and validation use — and fits a
+:class:`~repro.core.KoozaModel`.  The reduce phase collects the
+serialized models into one per-class table.
 
 Because every worker sees exactly the per-class ``TraceSet`` a
 single-process fit would build (same records, same order), the parallel

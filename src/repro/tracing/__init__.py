@@ -22,7 +22,7 @@ from .records import (
     StorageRecord,
 )
 from .span import Annotation, Span, TraceTree, build_trace_trees
-from .source import FlatTraceDump, TraceSource, as_trace_set
+from .source import FlatTraceDump, TraceSource, as_trace_set, source_columns
 from .store import STREAM_TYPES, load_traces, save_traces
 from .tracer import (
     STREAM_NAMES,
@@ -58,6 +58,7 @@ __all__ = [
     "read_cluster_jobs",
     "read_spc_trace",
     "save_traces",
+    "source_columns",
     "shift_request",
     "shift_span",
     "shift_subsystem_record",

@@ -55,7 +55,6 @@ __all__ = [
     "columns_from_records",
     "concat_columns",
     "find_columnar_stream",
-    "iter_columnar_batches",
     "iter_columnar_records",
     "read_columnar_columns",
     "read_columnar_header",
@@ -290,10 +289,15 @@ def take_columns(cols: Mapping[str, Any], indices) -> dict[str, Any]:
 
 
 def concat_columns(parts: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
-    """Concatenate column dicts row-wise (re-encoding string tables)."""
-    parts = [p for p in parts if p["n"]]
+    """Concatenate column dicts row-wise (re-encoding string tables).
+
+    Empty parts are skipped; when every part is empty the result keeps
+    the first part's (zero-length) columns, so it still carries the
+    stream's schema.
+    """
     if not parts:
         return {"n": 0}
+    parts = [p for p in parts if p["n"]] or list(parts[:1])
     names = [k for k in parts[0] if k != "n"]
     out: dict[str, Any] = {"n": sum(p["n"] for p in parts)}
     for name in names:
@@ -321,22 +325,6 @@ def concat_columns(parts: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
                 merged.extend(part[name])
             out[name] = merged
     return out
-
-
-def iter_columnar_batches(
-    directory: str | Path,
-    stream: str,
-    batch_size: int = 4096,
-    names: Optional[Sequence[str]] = None,
-) -> Iterator[dict[str, Any]]:
-    """Yield one columnar stream as column-dict batches of ``batch_size``."""
-    cols = read_columnar_columns(directory, stream, names)
-    if cols is None or cols["n"] == 0:
-        return
-    n = cols["n"]
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
-        yield take_columns(cols, np.arange(start, stop))
 
 
 def columns_from_records(
@@ -429,9 +417,12 @@ def records_from_columns(stream: str, cols: Mapping[str, Any]) -> list:
 
 
 def iter_columnar_records(directory: str | Path, stream: str) -> Iterator:
-    """Yield one columnar stream's records (record-object compatibility)."""
-    for batch in iter_columnar_batches(directory, stream):
-        yield from records_from_columns(stream, batch)
+    """Yield one columnar stream's records, built 4096 rows at a time."""
+    cols = read_columnar_columns(directory, stream)
+    n = 0 if cols is None else cols["n"]
+    for start in range(0, n, 4096):
+        rows = np.arange(start, min(start + 4096, n))
+        yield from records_from_columns(stream, take_columns(cols, rows))
 
 
 def shift_columns(
@@ -448,9 +439,8 @@ def shift_columns(
     :func:`~repro.tracing.shift_request` /
     :func:`~repro.tracing.shift_span` to whole arrays (IEEE float adds
     are elementwise identical to the scalar path).  ``spans``
-    ``parent_id`` shifts through NaN untouched — NaN encodes ``None``.
-    Annotation timestamps (a ``json`` column) are *not* shifted; request
-    the column only where unshifted annotations are acceptable.
+    ``parent_id`` shifts through NaN untouched — NaN encodes ``None``;
+    annotation timestamps (a ``json`` column) shift row by row.
     """
     out = dict(cols)
     if stream == "requests":
@@ -469,6 +459,14 @@ def shift_columns(
         for name in ("start", "end"):
             if name in out:
                 out[name] = out[name] + time_offset
+        if "annotations" in out:
+            out["annotations"] = [
+                [
+                    {"timestamp": a["timestamp"] + time_offset, "message": a["message"]}
+                    for a in row
+                ]
+                for row in out["annotations"]
+            ]
     else:
         if "request_id" in out:
             out["request_id"] = out["request_id"] + request_id_offset

@@ -19,30 +19,36 @@ Three implementations ship: :class:`~repro.tracing.TraceSet` (in
 memory), :class:`repro.store.ShardStore` (sharded on disk, stitched
 lazily), and :class:`FlatTraceDump` (a flat v1/v2 dump directory, read
 lazily).  :func:`as_trace_set` materializes any source for the batch
-paths that genuinely need random access.
+paths that genuinely need random access; :func:`source_columns` reads
+one stream of any source as stitched column arrays.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Any, Dict, Iterator, Protocol, Tuple, runtime_checkable
+from typing import (
+    Any,
+    Dict,
+    Iterator,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    runtime_checkable,
+)
 
 from .columnar import (
     columns_from_records,
+    concat_columns,
     find_columnar_stream,
-    iter_columnar_batches,
     iter_columnar_records,
+    shift_columns,
 )
-from .store import (
-    STREAM_TYPES,
-    find_stream_file,
-    iter_record_batches,
-    iter_stream_records,
-)
+from .store import STREAM_TYPES, find_stream_file, iter_stream_records
 from .tracer import TraceSet
 
-__all__ = ["FlatTraceDump", "TraceSource", "as_trace_set"]
+__all__ = ["FlatTraceDump", "TraceSource", "as_trace_set", "source_columns"]
 
 
 @runtime_checkable
@@ -88,6 +94,35 @@ def as_trace_set(source: TraceSource) -> TraceSet:
     return traces
 
 
+def source_columns(
+    source: TraceSource, stream: str, names: Optional[Sequence[str]] = None
+) -> Dict[str, Any]:
+    """One stream of any :class:`TraceSource` as stitched column arrays.
+
+    A :class:`repro.store.ShardStore` loads each shard's columns
+    (columnar buffers directly, jsonl decoded once), shifts them by the
+    shard's stitch offsets and concatenates them in shard order; any
+    other source pivots its records through
+    :func:`~repro.tracing.columnar.columns_from_records`.  Either way
+    the rows are the stream's records in merged order.  ``names``
+    restricts which columns are materialized.
+    """
+    # Deferred: repro.store imports this package at module level.
+    from ..store.shards import ShardStore
+
+    if not isinstance(source, ShardStore):
+        return columns_from_records(stream, list(source.iter_records(stream)), names)
+    parts = []
+    for manifest, offsets in zip(source.manifests, source.offsets()):
+        cols = source.load_shard_stream_columns(manifest, stream, names)
+        parts.append(
+            shift_columns(
+                stream, cols, offsets.time, offsets.request_id, offsets.span_id
+            )
+        )
+    return concat_columns(parts)
+
+
 class FlatTraceDump:
     """Lazy :class:`TraceSource` over a flat v1/v2 trace dump directory.
 
@@ -125,30 +160,6 @@ class FlatTraceDump:
         if find_columnar_stream(self.directory, stream) is not None:
             return iter_columnar_records(self.directory, stream)
         return iter(())
-
-    def iter_column_batches(
-        self, stream: str, batch_size: int = 4096
-    ) -> Iterator[Dict[str, Any]]:
-        """Yield one stream as numpy column-dict batches.
-
-        Columnar dumps serve their buffers directly; JSONL dumps decode
-        record batches and pivot them through
-        :func:`repro.tracing.columnar.columns_from_records`, so both
-        layouts hand consumers the identical representation.
-        """
-        if stream not in STREAM_TYPES:
-            raise ValueError(f"unknown stream {stream!r}")
-        path = find_stream_file(self.directory, stream)
-        if path is not None:
-            for batch in iter_record_batches(
-                path, STREAM_TYPES[stream], batch_size=batch_size
-            ):
-                yield columns_from_records(stream, batch)
-            return
-        if find_columnar_stream(self.directory, stream) is not None:
-            yield from iter_columnar_batches(
-                self.directory, stream, batch_size=batch_size
-            )
 
     def extent(self) -> float:
         if self._extent is None:

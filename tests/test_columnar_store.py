@@ -43,8 +43,23 @@ from repro.store import (
     parse_shard_index,
     shard_dirname,
 )
-from repro.tracing import RequestRecord, TraceSet, save_traces
-from repro.tracing.columnar import StringColumn
+from repro.tracing import (
+    Annotation,
+    MemoryRecord,
+    RequestRecord,
+    Span,
+    TraceSet,
+    save_traces,
+    shift_span,
+)
+from repro.tracing.columnar import (
+    STREAM_COLUMNS,
+    StringColumn,
+    columns_from_records,
+    concat_columns,
+    records_from_columns,
+    shift_columns,
+)
 
 # -- update_batch == repeated add --------------------------------------------
 
@@ -465,3 +480,34 @@ def test_mixed_pad_shard_dirs_merge_in_index_order(tmp_path):
         writer.finalize(duration=1.0)
     store = ShardStore(tmp_path)
     assert [m.index for m in store.manifests] == [2, 10]
+
+
+# -- column helpers ------------------------------------------------------------
+
+
+def test_concat_columns_of_empty_parts_keeps_the_schema():
+    empty = columns_from_records("memory", [])
+    out = concat_columns([empty, columns_from_records("memory", [])])
+    assert out["n"] == 0
+    assert set(out) == {"n"} | {name for name, _ in STREAM_COLUMNS["memory"]}
+    assert all(len(out[name]) == 0 for name, _ in STREAM_COLUMNS["memory"])
+    record = MemoryRecord(4, "s0", 1.5, 2, 4096, "read", 0.25)
+    full = concat_columns([empty, columns_from_records("memory", [record])])
+    assert records_from_columns("memory", full) == [record]
+
+
+def test_shift_columns_matches_shift_span_including_annotations():
+    spans = [
+        Span(3, 10, None, "request", "s0", 1.0, 2.5, [Annotation(1.25, "a")]),
+        Span(3, 11, 10, "read", "s1", 1.5, 2.0, []),
+    ]
+    cols = shift_columns(
+        "spans",
+        columns_from_records("spans", spans),
+        time_offset=7.5,
+        request_id_offset=100,
+        span_id_offset=40,
+    )
+    assert records_from_columns("spans", cols) == [
+        shift_span(s, 7.5, 100, 40) for s in spans
+    ]
