@@ -38,7 +38,7 @@ from .profile import (
 from .replay import ReplayHarness
 from .serialize import load_model, model_from_dict, model_to_dict, save_model
 from .synthetic import Stage, SyntheticRequest
-from .trainer import InsufficientTrainingData, KoozaTrainer
+from .trainer import InsufficientTrainingData, KoozaTrainer, read_training_input
 from .validation import (
     ProfileComparison,
     ProfileFeatureStats,
@@ -85,6 +85,7 @@ __all__ = [
     "split_traces_by_server",
     "model_to_dict",
     "profile_key",
+    "read_training_input",
     "request_feature_columns",
     "save_model",
 ]

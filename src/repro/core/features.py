@@ -24,6 +24,7 @@ __all__ = [
     "extract_request_features",
     "request_feature_columns",
     "source_feature_columns",
+    "source_feature_streams",
 ]
 
 #: Servers whose records are control-plane, not data-path.
@@ -81,15 +82,19 @@ class RequestFeatures:
 _FIELDS = tuple(f.name for f in fields(RequestFeatures))
 
 
+def source_feature_streams(source: TraceSource) -> dict[str, dict[str, Any]]:
+    """Any source's :data:`FEATURE_COLUMNS`, per stream, as stitched
+    columns (see :func:`repro.tracing.source_columns`)."""
+    return {
+        stream: source_columns(source, stream, names)
+        for stream, names in FEATURE_COLUMNS.items()
+    }
+
+
 def source_feature_columns(source: TraceSource) -> dict[str, Any]:
     """:func:`request_feature_columns` over any source's stitched
-    columns (see :func:`repro.tracing.source_columns`)."""
-    return request_feature_columns(
-        {
-            stream: source_columns(source, stream, names)
-            for stream, names in FEATURE_COLUMNS.items()
-        }
-    )
+    columns."""
+    return request_feature_columns(source_feature_streams(source))
 
 
 def extract_request_features(source: TraceSource) -> list[RequestFeatures]:

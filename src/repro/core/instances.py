@@ -61,11 +61,11 @@ def split_traces_by_server(traces: TraceSet) -> dict[str, TraceSet]:
 def split_traces_by_class(traces: TraceSet) -> dict[str, TraceSet]:
     """Partition a TraceSet by request class.
 
-    The in-memory counterpart of
-    :meth:`repro.store.ShardStore.class_traces`: per class, both yield
-    the same records in the same order, so a fit on either input
-    produces the same model — the equivalence the shard-parallel
-    trainer's tests assert.
+    The record-object counterpart of
+    :func:`repro.tracing.columnar.class_columns`, the split per-class
+    training uses: per class, both keep the same records in the same
+    order, so a fit on either produces the same model — the
+    equivalence the per-class trainer's tests assert.
     """
     return _split_traces_by(traces, lambda r: r.request_class)
 

@@ -5,8 +5,8 @@ replicas stream records straight to per-shard directories through a
 :class:`ShardWriter` (only a :class:`ShardManifest` crosses the process
 pool), a :class:`ShardStore` lazily re-reads and stitches the shards
 into the same monotonic timeline the in-memory merge produces, and
-:func:`train_per_class` fans KOOZA fits over request classes without
-trace records ever transiting worker IPC.
+:func:`train_per_class` reads any source once and fans KOOZA fits over
+its request classes.
 
 Import order note: submodules import only :mod:`repro.tracing` and
 :mod:`repro.simulation` at module level; :mod:`repro.core` (which pulls
@@ -54,9 +54,7 @@ from .stitch import (
 )
 from .writer import ShardWriter, shard_dirname
 from .training import (
-    ClassFitTask,
     PerClassFit,
-    fit_request_class,
     load_per_class_models,
     save_per_class_models,
     train_per_class,
@@ -76,7 +74,6 @@ from .analyze import (
 
 __all__ = [
     "CACHE_DIRNAME",
-    "ClassFitTask",
     "ClassReport",
     "PerClassValidation",
     "ShardAnalysisTask",
@@ -105,7 +102,6 @@ __all__ = [
     "compact_store",
     "convert_flat_dump",
     "convert_store",
-    "fit_request_class",
     "hash_file",
     "is_shard_store",
     "load_analysis_cache",

@@ -47,7 +47,7 @@ from .cache import (
     save_analysis_cache,
     shard_content_hash,
 )
-from .shards import ShardStore, _shift, shifter_for  # noqa: F401  (_shift: API)
+from .shards import ShardStore
 from .stitch import StitchOffsets
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports

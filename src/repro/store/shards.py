@@ -24,16 +24,14 @@ import json
 from pathlib import Path
 from typing import Any, Iterator
 
-import numpy as np
-
 from ..tracing import TraceSet, shift_request, shift_span, shift_subsystem_record
 from ..tracing.columnar import (
+    class_columns,
     columns_from_records,
     find_columnar_stream,
     iter_columnar_records,
     read_columnar_columns,
     records_from_columns,
-    take_columns,
 )
 from ..tracing.source import source_columns
 from ..tracing.store import (
@@ -78,10 +76,6 @@ def shifter_for(stream: str, offsets: StitchOffsets):
     """
     shift = _SHIFTERS.get(stream, _SHIFT_SUBSYSTEM)
     return lambda record: shift(record, offsets)
-
-
-def _shift(stream: str, record, offsets: StitchOffsets):
-    return _SHIFTERS.get(stream, _SHIFT_SUBSYSTEM)(record, offsets)
 
 
 class ShardStore:
@@ -298,25 +292,17 @@ class ShardStore:
     def class_traces(self, request_class: str) -> TraceSet:
         """The stitched records belonging to one request class.
 
-        Each stream is read as stitched columns
-        (:func:`repro.tracing.source_columns`), masked to the class's
-        (globally unique, post-stitch) request ids, and materialized as
-        record objects for the kept rows only.
+        The record view of :func:`~repro.tracing.columnar.class_columns`
+        — the class split training uses — over every stream's stitched
+        columns (:func:`repro.tracing.source_columns`).
         """
-        requests = source_columns(self, "requests")
-        keep = requests["request_class"].mask(request_class)
-        ids = requests["request_id"][keep]
+        streams = {
+            stream: source_columns(self, stream) for stream in STREAM_TYPES
+        }
+        part, _ = class_columns(streams, request_class)
         traces = TraceSet()
-        for stream in STREAM_TYPES:
-            if stream == "requests":
-                cols, rows = requests, keep
-            else:
-                cols = source_columns(self, stream)
-                key = "trace_id" if stream == "spans" else "request_id"
-                rows = np.isin(cols[key], ids)
-            getattr(traces, stream).extend(
-                records_from_columns(stream, take_columns(cols, rows))
-            )
+        for stream, cols in part.items():
+            getattr(traces, stream).extend(records_from_columns(stream, cols))
         return traces
 
     # -- export --------------------------------------------------------------

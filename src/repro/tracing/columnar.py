@@ -42,7 +42,7 @@ from .records import (
     RequestRecord,
     StorageRecord,
 )
-from .span import Annotation, Span
+from .span import Annotation, Span, TraceTree
 
 __all__ = [
     "COLUMNAR_FORMAT",
@@ -50,6 +50,7 @@ __all__ = [
     "STREAM_COLUMNS",
     "ColumnarStreamWriter",
     "StringColumn",
+    "class_columns",
     "columnar_stream_files",
     "columnar_header_path",
     "columns_from_records",
@@ -286,6 +287,36 @@ def take_columns(cols: Mapping[str, Any], indices) -> dict[str, Any]:
     first = next(iter(out.values()), None)
     out["n"] = 0 if first is None else len(first)
     return out
+
+
+def class_columns(
+    streams: Mapping[str, Mapping[str, Any]],
+    request_class: str,
+    trees: Sequence[TraceTree] = (),
+) -> tuple[dict[str, dict[str, Any]], list[TraceTree]]:
+    """One request class's rows of every stream, and its trace trees.
+
+    ``streams`` maps stream name to a column dict; ``requests`` must
+    carry ``request_id`` and ``request_class``.  Every other stream
+    keeps, in stream order, the rows whose ``request_id`` (``trace_id``
+    for spans) belongs to one of the class's requests, and ``trees``
+    keeps those requests' trees.  Request ids are unique on a stitched
+    timeline, so this is the same partition
+    :func:`repro.core.split_traces_by_class` makes of records.
+    """
+    requests = streams["requests"]
+    keep = requests["request_class"].mask(request_class)
+    ids = np.asarray(requests["request_id"])[keep]
+    part = {}
+    for stream, cols in streams.items():
+        if stream == "requests":
+            rows = keep
+        else:
+            key = "trace_id" if stream == "spans" else "request_id"
+            rows = np.isin(cols[key], ids)
+        part[stream] = take_columns(cols, rows)
+    wanted = set(ids.tolist())
+    return part, [tree for tree in trees if tree.trace_id in wanted]
 
 
 def concat_columns(parts: Sequence[Mapping[str, Any]]) -> dict[str, Any]:

@@ -3,8 +3,9 @@
 Covers the acceptance contract of the subsystem: manifest round-trips,
 shard-merge byte-identity against the in-memory ``merge_replicas`` path
 for several worker counts, sweep-grid replica derivation, empty-replica
-stitching, the shared flat/v1/v2/gzip reader path, and shard-parallel
-per-class KOOZA training matching single-process fits.
+stitching, the shared flat/v1/v2/gzip reader path, and per-class KOOZA
+training: one read of the source, pooled fits matching single-process
+ones.
 """
 
 import json
@@ -13,13 +14,19 @@ import math
 import pytest
 
 from repro.cli import main
-from repro.core import KoozaTrainer, model_to_dict, split_traces_by_class
+from repro.core import (
+    InsufficientTrainingData,
+    KoozaTrainer,
+    model_to_dict,
+    split_traces_by_class,
+)
 from repro.datacenter import (
     FleetSpec,
     collect_fleet,
     collect_fleet_to_store,
     collect_replicas,
     merge_replicas,
+    run_gfs_workload,
     sweep_grid,
     sweep_replica_specs,
 )
@@ -48,6 +55,7 @@ from repro.tracing import (
     load_traces,
     save_traces,
 )
+from repro.tracing import columnar
 from repro.tracing.span import Span
 
 STREAMS = ("network", "cpu", "memory", "storage", "requests", "spans")
@@ -446,6 +454,62 @@ def test_per_class_training_skips_classes_without_complete_requests(tmp_path):
     for cls in fits[0].models:
         reference = _model_json(fits[0].models[cls])
         assert all(_model_json(fit.models[cls]) == reference for fit in fits)
+
+
+def test_per_class_training_skips_classes_without_sampled_trees():
+    # Dapper-style 1-in-1000 sampling keeps every request's subsystem
+    # records but spans only for request 1, so only its class has a
+    # trace tree; the other class is skipped, not an abort.
+    traces = run_gfs_workload(400, seed=1, sample_every=1000).traces
+    sampled_ids = {span.trace_id for span in traces.spans}
+    sampled = {
+        r.request_class for r in traces.requests if r.request_id in sampled_ids
+    }
+    unsampled = set(traces.classes()) - sampled
+    assert sampled and unsampled
+    fit = train_per_class(traces)
+    assert set(fit.models) == sampled
+    assert set(fit.skipped) == unsampled
+    per_class = split_traces_by_class(traces)
+    for cls in sampled:
+        reference = KoozaTrainer().fit(per_class[cls])
+        assert _model_json(reference) == _model_json(fit.models[cls])
+    for cls in unsampled:
+        with pytest.raises(InsufficientTrainingData) as error:
+            KoozaTrainer().fit(per_class[cls])
+        assert error.value.n_trees == 0
+        assert fit.skipped[cls] == error.value.n_complete > 0
+
+
+def test_per_class_training_reads_the_store_once(tmp_path, monkeypatch):
+    # However many classes, training loads each feature stream of each
+    # shard once and builds record objects for spans only.
+    collect_fleet_to_store(
+        FleetSpec(app="webapp", replicas=2, seed=5, n_requests=150),
+        directory=tmp_path,
+        codec="columnar",
+    )
+    store = ShardStore(tmp_path)
+    loads = []
+    load = ShardStore.load_shard_stream_columns
+
+    def counting_load(self, manifest, stream, names=None):
+        loads.append(stream)
+        return load(self, manifest, stream, names)
+
+    decoded = []
+    to_records = columnar.records_from_columns
+
+    def counting_to_records(stream, cols):
+        decoded.append(stream)
+        return to_records(stream, cols)
+
+    monkeypatch.setattr(ShardStore, "load_shard_stream_columns", counting_load)
+    monkeypatch.setattr(columnar, "records_from_columns", counting_to_records)
+    fit = train_per_class(store)
+    assert len(store) == 2 and len(fit.models) >= 3
+    assert len(loads) == len(store) * 5
+    assert set(decoded) == {"spans"}
 
 
 def test_per_class_models_round_trip(trained_store, tmp_path):
