@@ -493,10 +493,22 @@ class _EndpointHandler(BaseHTTPRequestHandler):
         pass  # metrics carry the request counts; stderr stays quiet
 
     def _send(self, status: int, body: bytes, content_type: str) -> None:
+        """Send the whole reply in one write.
+
+        Headers and body as two writes let Nagle's algorithm hold the
+        body until the client's delayed ACK of the headers, stalling a
+        kept-alive connection by tens of milliseconds per reply.
+        """
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
+        # send_header buffers its lines here (absent for HTTP/0.9,
+        # which gets no headers); end_headers would flush them alone.
+        head = getattr(self, "_headers_buffer", None)
+        if head:
+            head.append(b"\r\n")
+            body = b"".join(head) + body
+            self._headers_buffer = []
         self.wfile.write(body)
 
     def _send_json(self, status: int, payload: Any) -> None:

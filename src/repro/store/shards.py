@@ -20,19 +20,18 @@ the in-memory merge for any worker count that produced the shards.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Iterator
 
 from ..tracing import TraceSet, shift_request, shift_span, shift_subsystem_record
 from ..tracing.columnar import (
     class_columns,
-    columns_from_records,
     find_columnar_stream,
     iter_columnar_records,
-    read_columnar_columns,
+    read_stream_columns,
     records_from_columns,
 )
+from ..tracing.codec import dumps
 from ..tracing.source import source_columns
 from ..tracing.store import (
     STREAM_TYPES,
@@ -252,20 +251,14 @@ class ShardStore:
     ) -> "dict[str, Any]":
         """One shard's stream as full (unshifted) column arrays.
 
-        The analyzer's entry point: columnar shards serve their buffers
-        directly; jsonl shards decode once and pivot through
-        :func:`repro.tracing.columnar.columns_from_records`.  Both
-        codecs hand back the identical representation, which is what
-        makes cross-codec analyses byte-identical.  A stream with no
-        file (empty stream) loads as zero-length columns.
+        The analyzer's entry point
+        (:func:`repro.tracing.columnar.read_stream_columns`): columnar
+        shards serve their buffers directly; jsonl shards decode straight
+        to columns.  Both codecs hand back the identical representation,
+        which is what makes cross-codec analyses byte-identical.  A
+        stream with no file (empty stream) loads as zero-length columns.
         """
-        shard_dir = self.shard_dir(manifest)
-        path = find_stream_file(shard_dir, stream)
-        if path is None:
-            cols = read_columnar_columns(shard_dir, stream, names)
-            return cols if cols is not None else columns_from_records(stream, [], names)
-        records = list(iter_stream_records(path, STREAM_TYPES[stream]))
-        return columns_from_records(stream, records, names)
+        return read_stream_columns(self.shard_dir(manifest), stream, names)
 
     def iter_stream(self, stream: str) -> Iterator:
         """Yield all shards' records for ``stream``, stitched.
@@ -320,9 +313,9 @@ class ShardStore:
         suffix = ".jsonl.gz" if compress else ".jsonl"
         for stream in STREAM_TYPES:
             with open_trace_write(directory / f"{stream}{suffix}") as fh:
-                fh.write(json.dumps(stream_header(stream)) + "\n")
+                fh.write(dumps(stream_header(stream)) + "\n")
                 for record in self.iter_stream(stream):
-                    fh.write(json.dumps(record.to_dict()) + "\n")
+                    fh.write(dumps(record.to_dict()) + "\n")
         return directory
 
     def summary(self) -> dict[str, int]:

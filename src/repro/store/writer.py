@@ -13,19 +13,17 @@ byte for byte.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from typing import Any, Mapping, Optional, TextIO
 
 from .._version import tool_version
+from ..tracing.codec import dumps
 from ..tracing.columnar import ColumnarStreamWriter
 from ..tracing.store import STREAM_TYPES, open_trace_write, stream_header
 from .manifest import SHARD_CODECS, ShardManifest
 
 __all__ = ["ShardWriter", "shard_dirname"]
-
-_dumps = json.dumps
 
 #: Lines buffered per jsonl stream before hitting the file object.  The
 #: buffered bytes are identical to per-record writes (flushes are pure
@@ -123,10 +121,10 @@ class ShardWriter:
                 fh = open_trace_write(
                     self.directory / f"{stream}{self._suffix}"
                 )
-                fh.write(_dumps(stream_header(stream)) + "\n")
+                fh.write(dumps(stream_header(stream)) + "\n")
                 self._files[stream] = fh
                 buffer = self._buffers[stream] = []
-            buffer.append(_dumps(record.to_dict()))
+            buffer.append(dumps(record.to_dict()))
             if len(buffer) >= _BUFFER_LINES:
                 self._files[stream].write("\n".join(buffer) + "\n")
                 buffer.clear()

@@ -30,11 +30,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .codec import CHUNK_LINES, dumps_sorted, parse_record_lines
 from .records import (
     CpuRecord,
     MemoryRecord,
@@ -43,6 +46,13 @@ from .records import (
     StorageRecord,
 )
 from .span import Annotation, Span, TraceTree
+from .store import (
+    STREAM_TYPES,
+    find_stream_file,
+    iter_stream_records,
+    open_trace_read,
+    record_lines,
+)
 
 __all__ = [
     "COLUMNAR_FORMAT",
@@ -53,12 +63,14 @@ __all__ = [
     "class_columns",
     "columnar_stream_files",
     "columnar_header_path",
+    "columns_from_jsonl",
     "columns_from_records",
     "concat_columns",
     "find_columnar_stream",
     "iter_columnar_records",
     "read_columnar_columns",
     "read_columnar_header",
+    "read_stream_columns",
     "records_from_columns",
     "shift_columns",
     "take_columns",
@@ -270,6 +282,25 @@ def read_columnar_columns(
     return cols
 
 
+def read_stream_columns(
+    directory: str | Path,
+    stream: str,
+    names: Optional[Sequence[str]] = None,
+) -> dict[str, Any]:
+    """One stream of a trace directory as column arrays, either codec.
+
+    A ``<stream>.jsonl[.gz]`` file decodes through
+    :func:`columns_from_jsonl`, a columnar stream serves its buffers,
+    and a stream with neither loads as zero-length columns.  Shard
+    stores and flat dumps read their streams through this one function.
+    """
+    path = find_stream_file(directory, stream)
+    if path is not None:
+        return columns_from_jsonl(path, stream, names)
+    cols = read_columnar_columns(directory, stream, names)
+    return cols if cols is not None else columns_from_records(stream, [], names)
+
+
 def take_columns(cols: Mapping[str, Any], indices) -> dict[str, Any]:
     """Row subset of a column dict (fancy index or boolean mask)."""
     out: dict[str, Any] = {}
@@ -363,50 +394,151 @@ def columns_from_records(
     records: Sequence,
     names: Optional[Sequence[str]] = None,
 ) -> dict[str, Any]:
-    """Build column arrays from decoded records (the JSONL bridge).
+    """Build column arrays from decoded records (the record bridge).
 
     Produces exactly the representation ``read_columnar_columns``
     returns, so analyses accept either codec through one code path.
     ``names`` restricts which columns are materialized.
     """
+    values: dict[str, list] = {}
+    for name in _wanted_columns(stream, names):
+        if stream == "spans" and name == "annotations":
+            values[name] = [
+                [{"timestamp": a.timestamp, "message": a.message} for a in r.annotations]
+                for r in records
+            ]
+        else:
+            values[name] = [getattr(r, name) for r in records]
+    return _columns_from_values(stream, values, len(records))
+
+
+def columns_from_jsonl(
+    path: str | Path,
+    stream: str,
+    names: Optional[Sequence[str]] = None,
+) -> dict[str, Any]:
+    """One jsonl stream file as column arrays, without record objects.
+
+    Equal to ``columns_from_records(stream, records, names)`` over the
+    file's records.  Lines are parsed :data:`~repro.tracing.codec.CHUNK_LINES`
+    at a time (:func:`~repro.tracing.codec.parse_record_lines`) and each
+    row's values go straight into per-column lists.  A stream with any
+    chunk that is not regular is decoded by the record path instead,
+    which yields the same columns or raises its own typed error.  A
+    chunk is regular when it parses to one object per line, every
+    object has exactly the record's fields (an omitted defaulted field
+    is not regular), and every span annotation is exactly
+    ``{timestamp, message}``.
+    """
+    try:
+        decoded = _jsonl_column_values(
+            Path(path), stream, _wanted_columns(stream, names)
+        )
+    except Exception:
+        # Unreadable or malformed (a non-object row fails ``dict.keys``):
+        # the record path re-reads the file and raises its own error.
+        decoded = None
+    if decoded is None:
+        records = list(iter_stream_records(path, STREAM_TYPES[stream]))
+        return columns_from_records(stream, records, names)
+    values, n = decoded
+    return _columns_from_values(stream, values, n)
+
+
+def _wanted_columns(stream: str, names: Optional[Sequence[str]]) -> list[str]:
     schema = STREAM_COLUMNS[stream]
-    wanted = None if names is None else set(names)
-    cols: dict[str, Any] = {"n": len(records)}
-    for name, kind in schema:
-        if wanted is not None and name not in wanted:
+    if names is None:
+        return [name for name, _ in schema]
+    wanted = set(names)
+    return [name for name, _ in schema if name in wanted]
+
+
+_ANNOTATION_KEYS = {"timestamp": None, "message": None}.keys()
+
+
+def _jsonl_column_values(
+    path: Path, stream: str, wanted: list[str]
+) -> Optional[tuple[dict[str, list], int]]:
+    """Per-column value lists and the row count, or None if irregular."""
+    fields = {name: None for name, _ in STREAM_COLUMNS[stream]}.keys()
+    spans = stream == "spans"
+    # Annotations are checked even when not wanted: the record path
+    # rejects a malformed one whatever columns are asked for.
+    extract = list(wanted)
+    if spans and "annotations" not in extract:
+        extract.append("annotations")
+    values: dict[str, list] = {name: [] for name in extract}
+    n = 0
+    getters = [(values[name].extend, itemgetter(name)) for name in extract]
+    with open_trace_read(path) as fh:
+        lines = record_lines(path, fh)
+        while chunk := list(islice(lines, CHUNK_LINES)):
+            chunk = [line for line in chunk if not line.isspace()]
+            if not chunk:
+                continue
+            rows = parse_record_lines(chunk)
+            if rows is None or not all(map(fields.__eq__, map(dict.keys, rows))):
+                return None
+            for extend, get in getters:
+                extend(map(get, rows))
+            n += len(rows)
+    if spans:
+        annotations = _canonical_annotations(values["annotations"])
+        if annotations is None:
+            return None
+        if "annotations" in wanted:
+            values["annotations"] = annotations
+        else:
+            del values["annotations"]
+    return values, n
+
+
+def _canonical_annotations(rows: list) -> Optional[list]:
+    """Span annotation lists as the record path rebuilds them, or None.
+
+    Every annotation must be an object with exactly ``timestamp`` and
+    ``message``; each is rebuilt in that key order, as
+    ``Span.from_dict`` followed by :func:`columns_from_records` does.
+    """
+    out = []
+    for annotations in rows:
+        if type(annotations) is not list:
+            return None
+        if annotations:
+            rebuilt = []
+            for a in annotations:
+                if type(a) is not dict or a.keys() != _ANNOTATION_KEYS:
+                    return None
+                rebuilt.append({"timestamp": a["timestamp"], "message": a["message"]})
+            annotations = rebuilt
+        out.append(annotations)
+    return out
+
+
+def _columns_from_values(
+    stream: str, values: Mapping[str, list], n: int
+) -> dict[str, Any]:
+    """Column arrays from per-column value lists (schema order kept)."""
+    cols: dict[str, Any] = {"n": n}
+    for name, kind in STREAM_COLUMNS[stream]:
+        if name not in values:
             continue
+        column = values[name]
         if stream == "spans" and name == "parent_id":
             cols[name] = np.array(
-                [
-                    np.nan if r.parent_id is None else float(r.parent_id)
-                    for r in records
-                ],
+                [np.nan if v is None else float(v) for v in column],
                 dtype=_KIND_DTYPES["f8"],
             )
         elif kind in _KIND_DTYPES:
-            cols[name] = np.array(
-                [getattr(r, name) for r in records], dtype=_KIND_DTYPES[kind]
-            )
+            cols[name] = np.array(column, dtype=_KIND_DTYPES[kind])
         elif kind == "dict":
-            table: list[str] = []
             mapping: dict[str, int] = {}
-            codes = np.empty(len(records), dtype=_CODE_DTYPE)
-            for i, r in enumerate(records):
-                value = getattr(r, name)
-                code = mapping.get(value)
-                if code is None:
-                    code = mapping[value] = len(table)
-                    table.append(value)
-                codes[i] = code
-            cols[name] = StringColumn(codes, table)
+            codes = [mapping.setdefault(v, len(mapping)) for v in column]
+            cols[name] = StringColumn(
+                np.array(codes, dtype=_CODE_DTYPE), list(mapping)
+            )
         else:  # json
-            if stream == "spans":
-                cols[name] = [
-                    [{"timestamp": a.timestamp, "message": a.message} for a in r.annotations]
-                    for r in records
-                ]
-            else:
-                cols[name] = [getattr(r, name) for r in records]
+            cols[name] = column
     return cols
 
 
@@ -566,9 +698,7 @@ class ColumnarStreamWriter:
                     ]
                 else:
                     payload = getattr(record, name)
-                buffers[name].append(
-                    self._encode(name, json.dumps(payload, sort_keys=True))
-                )
+                buffers[name].append(self._encode(name, dumps_sorted(payload)))
             else:
                 buffers[name].append(getattr(record, name))
         self.n += 1

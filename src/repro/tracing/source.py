@@ -43,6 +43,7 @@ from .columnar import (
     concat_columns,
     find_columnar_stream,
     iter_columnar_records,
+    read_stream_columns,
     shift_columns,
 )
 from .store import STREAM_TYPES, find_stream_file, iter_stream_records
@@ -100,8 +101,10 @@ def source_columns(
     """One stream of any :class:`TraceSource` as stitched column arrays.
 
     A :class:`repro.store.ShardStore` loads each shard's columns
-    (columnar buffers directly, jsonl decoded once), shifts them by the
-    shard's stitch offsets and concatenates them in shard order; any
+    (columnar buffers directly, jsonl decoded straight to columns),
+    shifts them by the shard's stitch offsets and concatenates them in
+    shard order; a :class:`FlatTraceDump` reads its one directory the
+    same way (:func:`~repro.tracing.columnar.read_stream_columns`); any
     other source pivots its records through
     :func:`~repro.tracing.columnar.columns_from_records`.  Either way
     the rows are the stream's records in merged order.  ``names``
@@ -110,6 +113,10 @@ def source_columns(
     # Deferred: repro.store imports this package at module level.
     from ..store.shards import ShardStore
 
+    if isinstance(source, FlatTraceDump):
+        if stream not in STREAM_TYPES:
+            raise ValueError(f"unknown stream {stream!r}")
+        return read_stream_columns(source.directory, stream, names)
     if not isinstance(source, ShardStore):
         return columns_from_records(stream, list(source.iter_records(stream)), names)
     parts = []

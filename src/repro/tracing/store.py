@@ -29,6 +29,7 @@ import json
 from pathlib import Path
 from typing import Iterator, TextIO
 
+from .codec import dumps
 from .records import (
     CpuRecord,
     MemoryRecord,
@@ -49,6 +50,7 @@ __all__ = [
     "load_traces",
     "open_trace_read",
     "open_trace_write",
+    "record_lines",
     "save_traces",
     "stream_header",
 ]
@@ -191,17 +193,11 @@ def iter_record_batches(
     """
     path = Path(path)
     with open_trace_read(path) as fh:
-        first = fh.readline()
-        while first and first.isspace():
-            first = fh.readline()
-        carry: list[str] = []
-        if first and not _first_line_is_header(path, first):
-            carry = [first]  # v1 file: the first line is a record
         loads = json.loads
         from_dict = record_cls.from_dict
         batch: list = []
         append = batch.append
-        for line in _chain(carry, fh):
+        for line in record_lines(path, fh):
             if line and not line.isspace():
                 append(from_dict(loads(line)))
                 if len(batch) >= batch_size:
@@ -212,9 +208,19 @@ def iter_record_batches(
             yield batch
 
 
-def _chain(head: list[str], rest) -> Iterator[str]:
-    yield from head
-    yield from rest
+def record_lines(path: Path, fh: TextIO) -> Iterator[str]:
+    """The record lines of an open stream file, blank lines included.
+
+    Consumes the leading blank lines and the v2 header (validated and
+    memoized per unchanged file); a v1 file's first line is a record
+    and is yielded.
+    """
+    first = fh.readline()
+    while first and first.isspace():
+        first = fh.readline()
+    if first and not _first_line_is_header(path, first):
+        yield first  # v1 file: the first line is a record
+    yield from fh
 
 
 def iter_stream_records(path: str | Path, record_cls) -> Iterator:
@@ -260,9 +266,9 @@ def save_traces(
     for stream in STREAM_TYPES:
         records = getattr(traces, stream)
         with open_trace_write(directory / f"{stream}{suffix}") as fh:
-            fh.write(json.dumps(stream_header(stream)) + "\n")
+            fh.write(dumps(stream_header(stream)) + "\n")
             for record in records:
-                fh.write(json.dumps(record.to_dict()) + "\n")
+                fh.write(dumps(record.to_dict()) + "\n")
     return directory
 
 

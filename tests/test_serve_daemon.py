@@ -15,10 +15,12 @@ The acceptance contracts from the issue, each pinned here:
   version, and the store-watch round-visibility rules.
 """
 
+import http.client
 import io
 import json
 import shutil
 import socket
+import socketserver
 import threading
 import urllib.error
 import urllib.request
@@ -317,6 +319,33 @@ def test_daemon_http_endpoints(store):
 
         status, body = _http_get(daemon, "/nope")
         assert status == 404
+    finally:
+        daemon.shutdown()
+
+
+def test_daemon_sends_each_reply_in_one_write(store, monkeypatch):
+    """Headers and body leave in one socket write on a kept-alive link."""
+    writes = []
+    original = socketserver._SocketWriter.write
+
+    def counting_write(self, data):
+        writes.append(bytes(data))
+        return original(self, data)
+
+    monkeypatch.setattr(socketserver._SocketWriter, "write", counting_write)
+    daemon = ServeDaemon(store, ServeConfig(port=0, poll_interval=0)).start()
+    try:
+        connection = http.client.HTTPConnection(*daemon.http_address)
+        for path in ("/healthz", "/profile?format=text", "/nope"):
+            del writes[:]
+            connection.request("GET", path)
+            response = connection.getresponse()
+            body = response.read()
+            assert len(writes) == 1, path
+            head, sep, sent_body = writes[0].partition(b"\r\n\r\n")
+            assert sep and sent_body == body
+            assert int(response.getheader("Content-Length")) == len(body)
+        connection.close()
     finally:
         daemon.shutdown()
 
