@@ -64,20 +64,30 @@ def _input_path(args: argparse.Namespace, attr: str) -> Path:
 
 
 def _open_source(path: Path):
-    """Auto-detect and open a trace source, with clear failure messages."""
-    from .store import ShardStore, is_shard_store
-    from .tracing import load_traces
+    """Auto-detect and open a trace source, with clear failure messages.
 
-    try:
-        source = load_traces(path)
-    except FileNotFoundError as error:
-        raise SystemExit(str(error))
-    if isinstance(source, ShardStore):
-        n_records = sum(source.counts().values())
+    A shard store opens as a :class:`~repro.store.ShardStore`; anything
+    else as a lazy :class:`~repro.tracing.FlatTraceDump`, whose streams
+    the analysis and training paths decode straight to columns.  A
+    missing directory, or one without a record, is an empty dump.
+    """
+    from .store import ShardStore, is_shard_store
+    from .tracing import FlatTraceDump
+
+    if is_shard_store(path):
+        try:
+            source = ShardStore(path)
+        except FileNotFoundError as error:
+            raise SystemExit(str(error))
+        empty = sum(source.counts().values()) == 0
     else:
-        n_records = sum(source.summary().values())
-    if n_records == 0:
-        kind = "shard store" if is_shard_store(path) else "trace dump"
+        try:
+            source = FlatTraceDump(path)
+        except FileNotFoundError:
+            source = None
+        empty = source is None or not source.has_records()
+    if empty:
+        kind = "shard store" if isinstance(source, ShardStore) else "trace dump"
         raise SystemExit(
             f"{kind} at {path} is empty (0 records); "
             "collect traces into it first (repro collect --out)"

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from ..queueing import EmpiricalArrivals, QueueingNetwork, Station
 from ..simulation import Environment
@@ -135,6 +134,8 @@ class SqsEvaluator:
         Uses independent replications (a clean variant of batch means:
         no serial correlation between batches to correct for).
         """
+        from scipy.stats import t
+
         batch_means: list[float] = []
         while len(batch_means) < self.max_batches:
             batch_means.append(self._simulate_batch(rng))
@@ -143,9 +144,7 @@ class SqsEvaluator:
             n = len(batch_means)
             mean = float(np.mean(batch_means))
             sem = float(np.std(batch_means, ddof=1) / np.sqrt(n))
-            t_crit = float(
-                scipy_stats.t.ppf(0.5 + self.confidence / 2.0, df=n - 1)
-            )
+            t_crit = float(t.ppf(0.5 + self.confidence / 2.0, df=n - 1))
             halfwidth = t_crit * sem
             if mean > 0 and halfwidth / mean <= self.relative_tolerance:
                 return SqsResult(
@@ -158,7 +157,7 @@ class SqsEvaluator:
         n = len(batch_means)
         mean = float(np.mean(batch_means))
         sem = float(np.std(batch_means, ddof=1) / np.sqrt(n))
-        t_crit = float(scipy_stats.t.ppf(0.5 + self.confidence / 2.0, df=n - 1))
+        t_crit = float(t.ppf(0.5 + self.confidence / 2.0, df=n - 1))
         return SqsResult(
             mean_latency=mean,
             ci_halfwidth=t_crit * sem,

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from ..stats import acf
 from .arrivals import ArrivalProcess
@@ -76,6 +75,9 @@ class CopulaArrivals(ArrivalProcess):
         self.rng = rng
         self.order = order
         self._sorted = np.sort(samples)
+        from scipy import stats
+
+        self._norm_cdf = stats.norm.cdf
         # Latent normal scores of the observed sequence (rank transform).
         ranks = stats.rankdata(samples, method="average")
         uniforms = ranks / (samples.size + 1.0)
@@ -104,7 +106,7 @@ class CopulaArrivals(ArrivalProcess):
         )
         self._state.insert(0, z)
         del self._state[self.order :]
-        u = float(stats.norm.cdf(z))
+        u = float(self._norm_cdf(z))
         u = min(max(u, 1e-9), 1.0 - 1e-9)
         return self._quantile(u)
 

@@ -13,7 +13,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["FittedDistribution", "fit_distribution", "CANDIDATE_FAMILIES"]
 
@@ -41,6 +40,8 @@ class FittedDistribution:
     @cached_property
     def frozen(self):
         """The frozen scipy distribution for sampling/evaluation."""
+        from scipy import stats
+
         return getattr(stats, self.family)(*self.params)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -59,6 +60,8 @@ class FittedDistribution:
 
 
 def _fit_family(family: str, data: np.ndarray) -> Optional[FittedDistribution]:
+    from scipy import stats
+
     dist = getattr(stats, family)
     try:
         # Positive data: lock location at 0 for scale families so the

@@ -2,10 +2,11 @@
 
 Three independent signals, each with its own hysteresis alarm:
 
-* **latency** — two-sample KS distance (:func:`repro.stats.ks_two_sample`)
+* **latency** — two-sample KS distance (:func:`repro.stats.ks_distance`)
   between the window's latencies and the baseline's.  The same statistic
   the paper's Table-2 validation uses, pointed at time instead of at a
-  synthetic replay.
+  synthetic replay; computed in numpy without the p-value, so a check
+  after every commit loads no scipy.
 * **mix** — total-variation distance between the window's request-class
   fractions and the baseline mix (½ Σ|p−q| over the class union).
 * **rate** — z-score of the windowed request count against the expected
@@ -32,7 +33,7 @@ from typing import Any, Mapping, Optional
 import numpy as np
 
 from ..depth.anomaly import StageProfile
-from ..stats import SlidingWindowCounter, ks_two_sample
+from ..stats import SlidingWindowCounter, ks_distance
 
 __all__ = [
     "Alarm",
@@ -303,7 +304,7 @@ class DriftMonitor:
                 thresholds=self.thresholds.to_dict(),
             )
         latencies = np.array([lat for _, lat, _ in self.window], dtype=float)
-        ks, _ = ks_two_sample(latencies, self.baseline.latencies)
+        ks = ks_distance(latencies, self.baseline.latencies)
         classes: dict[str, int] = {}
         for _, _, cls_name in self.window:
             classes[cls_name] = classes.get(cls_name, 0) + 1

@@ -20,7 +20,13 @@ from .correlation import (
     cross_correlation,
     dominant_period,
 )
-from .distributions import SampleSummary, hill_estimator, ks_two_sample, summarize
+from .distributions import (
+    SampleSummary,
+    hill_estimator,
+    ks_distance,
+    ks_two_sample,
+    summarize,
+)
 from .histogram import VUList
 from .pca import PCA
 from .regression import LinearRegression
@@ -74,6 +80,7 @@ __all__ = [
     "hurst_rs",
     "index_of_dispersion",
     "interarrival_cov",
+    "ks_distance",
     "ks_two_sample",
     "peak_to_mean",
     "reservoir_sample",

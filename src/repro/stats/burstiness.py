@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .selfsim import arrivals_to_counts
 
@@ -82,5 +81,7 @@ def stationarity_pvalue(series: Sequence[float]) -> float:
     first, second = data[:half], data[half:]
     if first.std() == 0 and second.std() == 0:
         return 1.0 if np.isclose(first.mean(), second.mean()) else 0.0
+    from scipy import stats
+
     result = stats.ttest_ind(first, second, equal_var=False)
     return float(result.pvalue)

@@ -8,13 +8,24 @@ tails" feature of DC request distributions).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
-__all__ = ["SampleSummary", "hill_estimator", "ks_two_sample", "summarize"]
+__all__ = [
+    "SampleSummary",
+    "hill_estimator",
+    "ks_distance",
+    "ks_two_sample",
+    "summarize",
+]
+
+#: Largest sample size for which ``scipy.stats.ks_2samp``'s default
+#: (``mode="auto"``) takes the exact path, which rounds the statistic
+#: to a multiple of ``1 / lcm(n1, n2)``.
+_KS_EXACT_MAX_N = 10000
 
 
 @dataclass(frozen=True)
@@ -59,12 +70,51 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
     The fidelity metric used throughout the validation framework to
     compare original and synthetic feature distributions.
     """
+    from scipy import stats
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be non-empty")
     result = stats.ks_2samp(a, b)
     return float(result.statistic), float(result.pvalue)
+
+
+def ks_distance(a: Sequence[float], b: Sequence[float]) -> float:
+    """Two-sample KS statistic alone, in numpy: no p-value, no scipy.
+
+    Returns exactly ``ks_two_sample(a, b)[0]`` — the same float as
+    ``scipy.stats.ks_2samp(a, b).statistic`` — by repeating its
+    arithmetic: both empirical CDFs evaluated with
+    ``searchsorted(side="right")`` over the pooled sorted samples, the
+    larger of the clipped negative and the positive extreme, and, for
+    samples of at most 10000 values (where ``ks_2samp`` computes an
+    exact p-value), rounding to the nearest multiple of
+    ``1 / lcm(n1, n2)`` (that lcm is at most 10^8, so it always fits
+    the int32 bound ``ks_2samp`` checks).  NaN in either sample gives
+    NaN, as ``ks_2samp`` does.  For callers that only compare the
+    distance to a threshold, such as the serve drift monitor after
+    every commit.
+    """
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    n1, n2 = a.size, b.size
+    if n1 == 0 or n2 == 0:
+        raise ValueError("both samples must be non-empty")
+    if np.isnan(a[-1]) or np.isnan(b[-1]):
+        return float("nan")  # sorting puts NaN last; ks_2samp propagates it
+    pooled = np.concatenate([a, b])
+    cddiffs = (
+        np.searchsorted(a, pooled, side="right") / n1
+        - np.searchsorted(b, pooled, side="right") / n2
+    )
+    min_s = np.clip(-cddiffs[np.argmin(cddiffs)], 0, 1)
+    max_s = cddiffs[np.argmax(cddiffs)]
+    d = min_s if min_s > max_s else max_s
+    if max(n1, n2) <= _KS_EXACT_MAX_N:
+        lcm = (n1 // math.gcd(n1, n2)) * n2
+        d = int(np.round(d * lcm)) * 1.0 / lcm
+    return float(d)
 
 
 def hill_estimator(samples: Sequence[float], tail_fraction: float = 0.1) -> float:

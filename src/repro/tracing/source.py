@@ -43,10 +43,17 @@ from .columnar import (
     concat_columns,
     find_columnar_stream,
     iter_columnar_records,
+    read_columnar_header,
     read_stream_columns,
     shift_columns,
 )
-from .store import STREAM_TYPES, find_stream_file, iter_stream_records
+from .store import (
+    STREAM_TYPES,
+    find_stream_file,
+    iter_stream_records,
+    open_trace_read,
+    record_lines,
+)
 from .tracer import TraceSet
 
 __all__ = ["FlatTraceDump", "TraceSource", "as_trace_set", "source_columns"]
@@ -134,8 +141,9 @@ class FlatTraceDump:
     """Lazy :class:`TraceSource` over a flat v1/v2 trace dump directory.
 
     Reads nothing at construction beyond an existence check; records
-    are parsed on iteration, and :meth:`extent` / :meth:`classes` scan
-    once and cache.  Missing stream files iterate as empty, matching
+    are parsed on iteration, :meth:`extent` scans the records once and
+    :meth:`classes` the request columns once, and both cache.  Missing
+    stream files iterate as empty, matching
     :func:`repro.tracing.load_traces` on partial dumps.
     """
 
@@ -187,18 +195,33 @@ class FlatTraceDump:
 
     def classes(self) -> Dict[str, int]:
         if self._classes is None:
-            counts: Dict[str, int] = {}
-            for record in self.iter_records("requests"):
-                if record.completion_time > record.arrival_time:
-                    counts[record.request_class] = (
-                        counts.get(record.request_class, 0) + 1
-                    )
-            self._classes = dict(sorted(counts.items()))
+            cols = read_stream_columns(
+                self.directory,
+                "requests",
+                ("request_class", "arrival_time", "completion_time"),
+            )
+            classes = cols["request_class"]
+            done = cols["completion_time"] > cols["arrival_time"]
+            counts = zip(classes.values, classes.take(done).bincount().tolist())
+            self._classes = {c: n for c, n in sorted(counts) if n}
         return dict(self._classes)
 
-    def summary(self) -> Dict[str, int]:
-        """Record counts per stream (same shape as ``TraceSet.summary``)."""
-        return {
-            stream: sum(1 for _ in self.iter_records(stream))
-            for stream in STREAM_TYPES
-        }
+    def has_records(self) -> bool:
+        """Whether any stream holds a record, decoding none of them.
+
+        A jsonl stream counts once it has a non-blank line past its
+        header; a columnar stream once its header's row count is
+        positive.
+        """
+        for stream in STREAM_TYPES:
+            path = find_stream_file(self.directory, stream)
+            if path is not None:
+                with open_trace_read(path) as fh:
+                    lines = record_lines(path, fh)
+                    if any(line and not line.isspace() for line in lines):
+                        return True
+                continue
+            header = read_columnar_header(self.directory, stream)
+            if header is not None and int(header["n"]) > 0:
+                return True
+        return False

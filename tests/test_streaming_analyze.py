@@ -404,6 +404,71 @@ def test_cli_empty_store_message(tmp_path, capsys):
         main(["characterize", "--in", str(tmp_path / "flat")])
 
 
+def _write_empty_dumps(root):
+    save_traces(TraceSet(), root / "header-only")
+    save_traces(TraceSet(), root / "columnar", codec="columnar")
+    (root / "blank-lines").mkdir()
+    (root / "blank-lines" / "requests.jsonl").write_text("\n \n")
+    (root / "empty-dir").mkdir()
+    return ["header-only", "columnar", "blank-lines", "empty-dir", "missing"]
+
+
+def test_cli_empty_flat_dumps_all_say_empty(tmp_path):
+    for name in _write_empty_dumps(tmp_path):
+        path = tmp_path / name
+        for command in (
+            ["characterize"],
+            ["train", "--model", str(tmp_path / "model.json")],
+            ["validate", "--per-class"],
+        ):
+            with pytest.raises(SystemExit) as raised:
+                main([*command, "--in", str(path)])
+            assert str(raised.value) == (
+                f"trace dump at {path} is empty (0 records); "
+                "collect traces into it first (repro collect --out)"
+            )
+
+
+def test_flat_dump_has_records_without_decoding(merged, tmp_path, monkeypatch):
+    _write_empty_dumps(tmp_path)
+    for name in ("header-only", "columnar", "blank-lines"):
+        assert not FlatTraceDump(tmp_path / name).has_records()
+    one = TraceSet()
+    one.storage.append(merged.storage[0])
+    save_traces(one, tmp_path / "one")
+    save_traces(one, tmp_path / "one-columnar", codec="columnar")
+    (tmp_path / "v1").mkdir()
+    (tmp_path / "v1" / "storage.jsonl").write_text(
+        (tmp_path / "one" / "storage.jsonl").read_text().split("\n", 1)[1]
+    )
+    monkeypatch.setattr(
+        "repro.tracing.store.iter_record_batches",
+        lambda *a, **k: pytest.fail("has_records decoded a record"),
+    )
+    for name in ("one", "one-columnar", "v1"):
+        assert FlatTraceDump(tmp_path / name).has_records()
+
+
+@pytest.mark.parametrize("codec", ["jsonl", "columnar"])
+def test_cli_flat_dump_characterizes_through_columns(
+    store_dir, merged, tmp_path, monkeypatch, capsys, codec
+):
+    """A flat dump opens lazily and characterizes like its store,
+    without building a record object."""
+    save_traces(merged, tmp_path / "flat", codec=codec)
+    assert FlatTraceDump(tmp_path / "flat").classes() == merged.classes()
+    assert main(["characterize", "--in", str(store_dir), "--no-cache"]) == 0
+    expected = capsys.readouterr().out
+
+    def no_records(*args, **kwargs):
+        raise AssertionError("flat dump decoded through the record path")
+
+    monkeypatch.setattr("repro.tracing.store.iter_record_batches", no_records)
+    monkeypatch.setattr("repro.tracing.columnar.records_from_columns", no_records)
+    assert main(["characterize", "--in", str(tmp_path / "flat")]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_cli_describe_store_directory(store_dir, capsys):
     assert main(["describe", str(store_dir)]) == 0
     out = capsys.readouterr().out
