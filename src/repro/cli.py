@@ -388,7 +388,11 @@ def _cmd_describe(args: argparse.Namespace) -> int:
         source = _open_source(path)
         print(characterize_source(source, workers=args.workers).describe())
         return 0
-    print(load_model(path).describe())
+    try:
+        model = load_model(path)
+    except (OSError, ValueError) as error:
+        raise SystemExit(f"cannot load model {path}: {error}")
+    print(model.describe())
     return 0
 
 

@@ -46,7 +46,6 @@ from .validation import (
     WorkloadFeatureStats,
     compare_feature_stats,
     compare_workloads,
-    profile_key,
 )
 
 __all__ = [
@@ -84,7 +83,6 @@ __all__ = [
     "split_traces_by_class",
     "split_traces_by_server",
     "model_to_dict",
-    "profile_key",
     "read_training_input",
     "request_feature_columns",
     "save_model",

@@ -1,26 +1,24 @@
-"""Workload characterization profiles: batch and streaming builders.
+"""Workload characterization profiles and their streaming builder.
 
 :class:`WorkloadProfile` is the structured result of ``repro
 characterize`` — per-subsystem summaries in the style of the surveyed
 in-breadth papers (Gulati storage fingerprint, Abrahao utilization
 patterns, Feitelson arrival features) plus request-level aggregates.
 
-Two builders produce it:
+Characterization has one fold path: :class:`WorkloadProfileBuilder`, a
+mergeable accumulator set that folds column batches of each stream
+(:meth:`WorkloadProfileBuilder.update_batch`).  One builder per shard,
+merged in shard order, equals one builder over the stitched whole, and
+no path materializes the stitched trace set.  The batch reference it
+is tested against — the materialized records through the numpy
+helpers — is the oracle in ``tests/oracles.py``.
 
-* :meth:`WorkloadProfile.from_traces` — the batch reference: fold the
-  materialized records through the existing numpy helpers.
-* :class:`WorkloadProfileBuilder` — a mergeable accumulator set that
-  folds record-by-record over any
-  :class:`~repro.tracing.TraceSource` stream.  One builder per shard,
-  merged in shard order, reproduces the batch profile without ever
-  materializing the stitched trace set.
-
-Equality contract (see ``docs/streaming_analysis.md``): count,
-fraction, quantile, window-series and KS fields match the batch
-profile exactly; accumulated means/variances (interarrival moments,
-CoV) match within a relative tolerance of 1e-9.  All windowed series
-are anchored at ``origin=0.0`` — the simulated clock — on both paths,
-which is what makes window bins identical.
+Equality contract (see ``docs/streaming_analysis.md``): against that
+oracle, count, fraction, quantile, window-series and KS fields match
+exactly; accumulated means/variances (interarrival moments, CoV) match
+within a relative tolerance of 1e-9.  All windowed series are anchored
+at ``origin=0.0`` — the simulated clock — on both, which is what makes
+window bins identical.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from ..stats import (
     WindowedCounter,
     classify_utilization_pattern,
 )
-from ..tracing import READ, TraceSource, as_trace_set
+from ..tracing import READ
 
 __all__ = [
     "CpuSummary",
@@ -128,107 +126,6 @@ class WorkloadProfile:
     memory: Optional[MemorySummary] = None
     requests: Optional[RequestSummary] = None
 
-    @classmethod
-    def from_traces(
-        cls,
-        source: TraceSource,
-        window: float = 0.25,
-        cores: int = 8,
-    ) -> "WorkloadProfile":
-        """Batch reference: characterize a materialized trace set.
-
-        Any :class:`~repro.tracing.TraceSource` is accepted; non-set
-        sources are materialized first (use
-        :func:`repro.store.characterize_source` to avoid that).
-        """
-        # Late imports: repro.breadth imports repro.core.model, so a
-        # module-level import here would close a cycle.
-        from ..breadth import NetworkTrafficModel, StorageProfile, utilization_series
-        from ..stats import index_of_dispersion, interarrival_cov, peak_to_mean
-
-        traces = as_trace_set(source)
-        storage = None
-        if len(traces.storage) >= 2:
-            sp = StorageProfile.characterize(traces.storage)
-            storage = StorageSummary(
-                n_ios=sp.n_ios,
-                read_fraction=sp.read_fraction,
-                mean_size=sp.mean_size,
-                p95_size=sp.p95_size,
-                sequential_fraction=sp.sequential_fraction,
-                mean_abs_seek=sp.mean_abs_seek,
-                mean_queue_depth=sp.mean_queue_depth,
-                mean_interarrival=sp.mean_interarrival,
-            )
-        cpu = None
-        if traces.cpu:
-            series = utilization_series(
-                traces.cpu, window=window, cores=cores, origin=0.0
-            )
-            cpu = CpuSummary(
-                n_bursts=len(traces.cpu),
-                n_windows=int(series.size),
-                mean_utilization=float(series.mean()),
-                peak_utilization=float(series.max()),
-                pattern=(
-                    classify_utilization_pattern(series)
-                    if series.size >= _MIN_PATTERN_WINDOWS
-                    else None
-                ),
-            )
-        network = None
-        arrivals = NetworkTrafficModel._arrival_records(traces.network)
-        if len(arrivals) >= 2:
-            times = np.array([r.timestamp for r in arrivals])
-            span = float(times[-1] - times[0])
-            gaps = np.diff(times)
-            positive = gaps[gaps > 0]
-            cov = (
-                float(interarrival_cov(positive)) if positive.size >= 2 else None
-            )
-            try:
-                idc = float(index_of_dispersion(times, window, origin=0.0))
-                ptm = float(peak_to_mean(times, window, origin=0.0))
-            except ValueError:
-                idc = ptm = None
-            network = NetworkSummary(
-                n_arrivals=len(arrivals),
-                mean_rate=len(arrivals) / span if span > 0 else 0.0,
-                interarrival_cov=cov,
-                index_of_dispersion=idc,
-                peak_to_mean=ptm,
-                mean_size=float(np.mean([r.size_bytes for r in arrivals])),
-            )
-        memory = None
-        if traces.memory:
-            memory = MemorySummary(
-                n_accesses=len(traces.memory),
-                read_fraction=float(
-                    np.mean([1.0 if r.op == READ else 0.0 for r in traces.memory])
-                ),
-                mean_size=float(np.mean([r.size_bytes for r in traces.memory])),
-            )
-        requests = None
-        completed = traces.completed_requests()
-        if completed:
-            latencies = [r.latency for r in completed]
-            requests = RequestSummary(
-                n_requests=len(completed),
-                mean_latency=float(np.mean(latencies)),
-                p95_latency=float(np.percentile(latencies, 95)),
-            )
-        return cls(
-            window=window,
-            cores=cores,
-            extent=traces.extent(),
-            classes=traces.classes(),
-            storage=storage,
-            cpu=cpu,
-            network=network,
-            memory=memory,
-            requests=requests,
-        )
-
     @property
     def request_rate(self) -> float:
         """Completed requests per simulated second over the whole extent.
@@ -299,10 +196,11 @@ class WorkloadProfile:
 class WorkloadProfileBuilder:
     """Streaming, mergeable builder for :class:`WorkloadProfile`.
 
-    Feed each stream's records in stitched order via :meth:`add`, or
-    fold one builder per shard and :meth:`merge` them in shard-index
-    order (the order-dependent storage seek/interarrival statistics
-    are seam-merged, so shard folds compose exactly).
+    Feed each stream's column batches in stitched order via
+    :meth:`update_batch`, or fold one builder per shard and
+    :meth:`merge` them in shard-index order (the order-dependent
+    storage seek/interarrival statistics are seam-merged, so shard
+    folds compose exactly).
     """
 
     window: float = 0.25
@@ -358,70 +256,16 @@ class WorkloadProfileBuilder:
 
     # -- folding -------------------------------------------------------------
 
-    def add(self, stream: str, record) -> None:
-        """Fold one record from the named stream."""
-        if stream == "storage":
-            self.storage_n += 1
-            if record.op == READ:
-                self.storage_reads += 1
-            self.storage_sizes.add(record.size_bytes)
-            self.storage_seeks.add(record.lbn, record.size_bytes)
-            self.storage_queue_sum += record.queue_depth
-            self.storage_times.add(record.timestamp)
-            self.max_extent = max(self.max_extent, record.timestamp)
-        elif stream == "cpu":
-            self.cpu_n += 1
-            self.cpu_busy.add(
-                record.timestamp,
-                weight=record.busy_seconds,
-                advance=record.busy_seconds,
-            )
-            self.max_extent = max(self.max_extent, record.timestamp)
-        elif stream == "network":
-            if record.direction == "rx":
-                self.network_n += 1
-                self.network_size_sum += record.size_bytes
-                self.network_times.add(record.timestamp)
-                self.network_counts.add(record.timestamp)
-            self.max_extent = max(self.max_extent, record.timestamp)
-        elif stream == "memory":
-            self.memory_n += 1
-            if record.op == READ:
-                self.memory_reads += 1
-            self.memory_size_sum += record.size_bytes
-            self.max_extent = max(self.max_extent, record.timestamp)
-        elif stream == "requests":
-            self.max_extent = max(
-                self.max_extent, record.arrival_time, record.completion_time
-            )
-            if record.completion_time > record.arrival_time:
-                self.latencies.add(record.latency)
-                self.class_counts.add(record.request_class)
-        elif stream == "spans":
-            self.max_extent = max(self.max_extent, record.start)
-            if record.end == record.end:  # not NaN
-                self.max_extent = max(self.max_extent, record.end)
-        else:
-            raise ValueError(f"unknown stream {stream!r}")
-
-    def add_source(self, source: TraceSource) -> "WorkloadProfileBuilder":
-        """Fold every stream of a source, in stream order."""
-        for stream in source.streams():
-            for record in source.iter_records(stream):
-                self.add(stream, record)
-        return self
-
     def update_batch(self, stream: str, cols: Mapping[str, Any]) -> None:
-        """Fold a column-dict batch of one stream — the vectorized
-        counterpart of per-record :meth:`add`.
+        """Fold a column-dict batch of one stream.
 
         ``cols`` is the representation produced by
         :func:`repro.tracing.columnar.read_columnar_columns` /
         ``columns_from_records``: an ``"n"`` row count plus one numpy
         array (or dictionary-encoded string column) per needed field.
         Every underlying accumulator fold here is exact (integer
-        counts, buffer extends, ``np.add.at`` window bins), so a batch
-        fold produces bit-identical state to record-by-record adds.
+        counts, buffer extends, ``np.add.at`` window bins), so splitting
+        a stream into batches anywhere produces bit-identical state.
         """
         n = int(cols["n"])
         if n == 0:

@@ -7,6 +7,13 @@ size/type, storage size/type — and the latency performance metric.
 Feature deviations are percentages (CPU utilization in absolute
 percentage points, as the paper reports), latency deviation as a
 percentage of the original mean.
+
+Validation has one fold path: each side's request-feature columns fold
+into a mergeable :class:`WorkloadFeatureStats` (per shard, then merged,
+or a whole source at once) and :func:`compare_feature_stats` builds the
+report.  :func:`compare_workloads` is that path over two trace sources.
+The per-request record walk it replaced is the test oracle in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -23,12 +30,11 @@ from ..stats import (
     CoMomentsAccumulator,
     ExactQuantiles,
     MomentsAccumulator,
-    cross_correlation,
     ks_two_sample,
 )
 from ..tracing import TraceSource
 from ..tracing.columnar import take_columns
-from .features import RequestFeatures, extract_request_features, source_feature_columns
+from .features import source_feature_columns
 
 __all__ = [
     "ProfileComparison",
@@ -37,18 +43,7 @@ __all__ = [
     "WorkloadFeatureStats",
     "compare_feature_stats",
     "compare_workloads",
-    "profile_key",
 ]
-
-
-def profile_key(features: RequestFeatures) -> tuple[str, int]:
-    """Profile of a request: (storage op, log2 size bucket of payload).
-
-    Groups the same way for original and synthetic requests without
-    relying on ground-truth class labels.
-    """
-    size = max(1, features.network_bytes)
-    return (features.storage_op, int(round(np.log2(size))))
 
 
 def _pct_deviation(original: float, synthetic: float) -> float:
@@ -175,22 +170,15 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _modal_op(ops: list[str]) -> str:
-    values, counts = np.unique(ops, return_counts=True)
-    return str(values[np.argmax(counts)])
-
-
 @dataclass
 class ProfileFeatureStats:
     """Mergeable per-profile feature statistics (one side of Table 2).
 
-    The streaming counterpart of one profile's feature lists in
-    :func:`compare_workloads`: moments for the mean columns, exact
-    quantiles for the latency tail, categorical counts for the op-match
-    columns.  ``merge`` composes accumulator merges, so folding shard
-    by shard and merging gives the same statistics as folding the
-    stitched whole (see ``docs/streaming_analysis.md`` for the FP
-    tolerance contract).
+    Moments for the mean columns, exact quantiles for the latency
+    tail, categorical counts for the op-match columns.  ``merge``
+    composes accumulator merges, so folding shard by shard and merging
+    gives the same statistics as folding the stitched whole (see
+    ``docs/streaming_analysis.md`` for the FP tolerance contract).
     """
 
     network_bytes: MomentsAccumulator = field(default_factory=MomentsAccumulator)
@@ -207,22 +195,12 @@ class ProfileFeatureStats:
     def n(self) -> int:
         return self.network_bytes.n
 
-    def add(self, f: RequestFeatures) -> None:
-        self.network_bytes.add(f.network_bytes)
-        self.cpu_utilization.add(f.cpu_utilization)
-        self.memory_bytes.add(f.memory_bytes)
-        self.storage_bytes.add(f.storage_bytes)
-        self.latency.add(f.latency)
-        self.memory_ops.add(f.memory_op)
-        self.storage_ops.add(f.storage_op)
-
     def update_batch(self, cols: Mapping[str, Any]) -> None:
         """Fold a feature-column batch (one profile's subset of
         :func:`repro.core.features.request_feature_columns` output).
 
-        Latency buffers, op counts and ``n`` are bit-identical to
-        repeated :meth:`add`; the moment fields follow the 1e-9
-        relative contract of
+        Latency buffers, op counts and ``n`` are exact; the moment
+        fields follow the 1e-9 relative contract of
         :meth:`repro.stats.MomentsAccumulator.update_batch`.
         """
         if not cols["n"]:
@@ -286,30 +264,15 @@ class WorkloadFeatureStats:
     joint: CoMomentsAccumulator = field(default_factory=CoMomentsAccumulator)
     n: int = 0
 
-    def add(self, f: RequestFeatures) -> None:
-        key = profile_key(f)
-        if key not in self.profiles:
-            self.profiles[key] = ProfileFeatureStats()
-        self.profiles[key].add(f)
-        self.latencies.add(f.latency)
-        self.joint.add(f.network_bytes, f.storage_bytes)
-        self.n += 1
-
-    def add_features(self, features) -> "WorkloadFeatureStats":
-        for f in features:
-            self.add(f)
-        return self
-
     def update_batch(self, cols: Mapping[str, Any]) -> "WorkloadFeatureStats":
         """Fold a whole feature-column batch (the output of
         :func:`repro.core.features.request_feature_columns`).
 
-        Rows are grouped by :func:`profile_key` vectorized —
-        ``np.round``/``round`` both round half-to-even, so bucket
-        assignment matches the scalar path exactly — and each group
+        A request's profile is its (storage op, log2 size bucket of
+        the network payload) pair, which groups original and synthetic
+        requests alike without ground-truth class labels.  Each group
         folds through :meth:`ProfileFeatureStats.update_batch` with
-        row order preserved, so quantile buffers and counts are
-        bit-identical to per-feature :meth:`add`.
+        row order preserved.
         """
         n = int(cols["n"])
         if n == 0:
@@ -332,10 +295,6 @@ class WorkloadFeatureStats:
         self.joint.update_batch(cols["network_bytes"], cols["storage_bytes"])
         self.n += n
         return self
-
-    @classmethod
-    def from_features(cls, features) -> "WorkloadFeatureStats":
-        return cls().add_features(features)
 
     @classmethod
     def from_feature_columns(cls, cols: Mapping[str, Any]) -> "WorkloadFeatureStats":
@@ -396,11 +355,12 @@ def compare_feature_stats(
 ) -> ValidationReport:
     """Build a :class:`ValidationReport` from two accumulated sides.
 
-    The streaming counterpart of :func:`compare_workloads`: given
-    feature statistics folded (and possibly merged across shards or
-    workers) for the original and synthetic workloads, produces a
-    report that matches the batch one within the documented FP
-    tolerance — exactly, for the quantile/KS/modal-op fields.
+    Given feature statistics folded (and possibly merged across shards
+    or workers) for the original and synthetic workloads, produces the
+    Table-2 report.  It matches the record-walk oracle in
+    ``tests/oracles.py`` within the documented FP tolerance — exactly,
+    for the count/quantile/KS/modal-op fields.  Profiles observed fewer
+    than ``min_profile_count`` times on either side are skipped.
     """
     if original.n == 0 or synthetic.n == 0:
         raise ValueError("both trace sets must contain complete requests")
@@ -450,83 +410,15 @@ def compare_workloads(
 ) -> ValidationReport:
     """Compare an original trace source against a replayed synthetic one.
 
-    Accepts any :class:`~repro.tracing.TraceSource` on either side.
-    Profiles observed fewer than ``min_profile_count`` times on either
-    side are skipped (their means are too noisy to grade a model on).
+    Accepts any :class:`~repro.tracing.TraceSource` on either side:
+    each folds into :class:`WorkloadFeatureStats` and the two compare
+    through :func:`compare_feature_stats`, the same fold and report
+    ``repro validate`` prints.  Profiles observed fewer than
+    ``min_profile_count`` times on either side are skipped (their
+    means are too noisy to grade a model on).
     """
-    orig = extract_request_features(original)
-    synth = extract_request_features(synthetic)
-    if not orig or not synth:
-        raise ValueError("both trace sets must contain complete requests")
-
-    orig_by_profile: dict[tuple, list[RequestFeatures]] = {}
-    for f in orig:
-        orig_by_profile.setdefault(profile_key(f), []).append(f)
-    synth_by_profile: dict[tuple, list[RequestFeatures]] = {}
-    for f in synth:
-        synth_by_profile.setdefault(profile_key(f), []).append(f)
-
-    profiles = []
-    for key in sorted(set(orig_by_profile) & set(synth_by_profile)):
-        o, s = orig_by_profile[key], synth_by_profile[key]
-        if len(o) < min_profile_count or len(s) < min_profile_count:
-            continue
-        modal_mem_op = _modal_op([f.memory_op for f in o])
-        modal_sto_op = _modal_op([f.storage_op for f in o])
-        profiles.append(
-            ProfileComparison(
-                profile=key,
-                n_original=len(o),
-                n_synthetic=len(s),
-                network_bytes=(
-                    float(np.mean([f.network_bytes for f in o])),
-                    float(np.mean([f.network_bytes for f in s])),
-                ),
-                cpu_utilization=(
-                    float(np.mean([f.cpu_utilization for f in o])),
-                    float(np.mean([f.cpu_utilization for f in s])),
-                ),
-                memory_bytes=(
-                    float(np.mean([f.memory_bytes for f in o])),
-                    float(np.mean([f.memory_bytes for f in s])),
-                ),
-                storage_bytes=(
-                    float(np.mean([f.storage_bytes for f in o])),
-                    float(np.mean([f.storage_bytes for f in s])),
-                ),
-                latency=(
-                    float(np.mean([f.latency for f in o])),
-                    float(np.mean([f.latency for f in s])),
-                ),
-                latency_p95=(
-                    float(np.percentile([f.latency for f in o], 95)),
-                    float(np.percentile([f.latency for f in s], 95)),
-                ),
-                memory_op_match=float(
-                    np.mean([f.memory_op == modal_mem_op for f in s])
-                ),
-                storage_op_match=float(
-                    np.mean([f.storage_op == modal_sto_op for f in s])
-                ),
-            )
-        )
-    if not profiles:
-        raise ValueError("no common profiles with enough requests to compare")
-
-    ks, pvalue = ks_two_sample(
-        [f.latency for f in orig], [f.latency for f in synth]
+    return compare_feature_stats(
+        WorkloadFeatureStats.from_source(original),
+        WorkloadFeatureStats.from_source(synthetic),
+        min_profile_count,
     )
-    report = ValidationReport(
-        profiles=profiles,
-        latency_ks=ks,
-        latency_ks_pvalue=pvalue,
-        joint_correlation_original=cross_correlation(
-            [f.network_bytes for f in orig], [f.storage_bytes for f in orig]
-        ),
-        joint_correlation_synthetic=cross_correlation(
-            [f.network_bytes for f in synth], [f.storage_bytes for f in synth]
-        ),
-        n_original=len(orig),
-        n_synthetic=len(synth),
-    )
-    return report

@@ -1,13 +1,13 @@
 """One-pass streaming analysis over trace sources, sharded in parallel.
 
-The streaming counterpart of ``WorkloadProfile.from_traces`` and
-``compare_workloads``: each worker folds ONE shard's records through
-the mergeable accumulators (:class:`~repro.core.WorkloadProfileBuilder`
+Analysis has one fold path: each worker folds ONE shard's columns
+through the mergeable accumulators (:class:`~repro.core.WorkloadProfileBuilder`
 for characterization, :class:`~repro.core.WorkloadFeatureStats` for
 validation), and the driver merges the per-shard accumulators in
 shard-index order.  The stitched merged ``TraceSet`` is never
 constructed — the property the forbid-stitch tests pin down — and no
-worker ever holds more than one shard's records.
+worker ever holds more than one shard's records.  The batch references
+this path is tested against are the oracles in ``tests/oracles.py``.
 
 Shard records are shifted by the manifest-derived
 :class:`~repro.store.stitch.StitchOffsets` before folding, so every
@@ -460,9 +460,9 @@ def characterize_source(
 ) -> "WorkloadProfile":
     """Streaming characterization of any trace source.
 
-    Equal to ``WorkloadProfile.from_traces`` on the materialized merge
-    (see ``docs/streaming_analysis.md`` for the tolerance contract)
-    without ever building it.  ``cache=True`` enables the persistent
+    Equal to the batch characterization oracle in ``tests/oracles.py``
+    on the materialized merge (see ``docs/streaming_analysis.md`` for
+    the tolerance contract) without ever building it.  ``cache=True`` enables the persistent
     per-shard cache for store sources (see :func:`analyze_source`).
     """
     return analyze_source(

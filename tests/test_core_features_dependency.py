@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import extract_request_features, mine_dependency_queue, profile_key
+from repro.core import (
+    WorkloadFeatureStats,
+    extract_request_features,
+    mine_dependency_queue,
+)
 from repro.core.dependency import DependencyQueue
 from repro.datacenter import run_gfs_workload, run_webapp_workload
 from repro.tracing import READ, WRITE
@@ -56,9 +60,9 @@ def test_features_storage_delta_mixes_sequential_and_jumps(gfs_run):
 
 
 def test_profile_key_groups_by_op_and_size(gfs_run):
-    features = extract_request_features(gfs_run.traces)
-    keys = {profile_key(f) for f in features}
-    assert keys == {(READ, 16), (WRITE, 22)}
+    # A Table-2 profile is (storage op, log2 size bucket of the payload).
+    stats = WorkloadFeatureStats.from_source(gfs_run.traces)
+    assert set(stats.profiles) == {(READ, 16), (WRITE, 22)}
 
 
 def test_features_master_excluded(gfs_run):

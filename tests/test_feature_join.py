@@ -1,10 +1,10 @@
 """The request-feature join against the per-record walk it replaced.
 
 ``request_feature_columns`` is the only place request features are
-assembled.  ``reference_request_features`` below is the record walk
-that used to serve training: it groups every subsystem record by
-request id in Python dicts and builds one ``RequestFeatures`` per
-complete request.  It lives on here as the oracle: the join must
+assembled.  ``reference_request_features`` (``tests/oracles.py``) is
+the record walk that used to serve training: it groups every subsystem
+record by request id in Python dicts and builds one ``RequestFeatures``
+per complete request.  It lives on as the oracle: the join must
 reproduce it field for field, floats bit for bit, on in-memory traces,
 on shard stores of every layout, and on per-class store reads.
 """
@@ -26,84 +26,9 @@ from repro.datacenter import (
     run_webapp_workload,
 )
 from repro.store import ShardStore
-from repro.tracing import FlatTraceDump, TraceSource, save_traces
+from repro.tracing import FlatTraceDump, save_traces
 
-#: Servers whose records are control-plane, not data-path.
-_CONTROL_SERVERS = ("master",)
-
-
-def reference_request_features(source: TraceSource) -> list[RequestFeatures]:
-    """Assemble per-request feature vectors, sorted by arrival time.
-
-    The per-record walk: folds over the source's streams without
-    requiring list attributes.  Control-plane records (master lookups)
-    are excluded from the data-path features.  Requests missing any
-    subsystem record (e.g. cut off at simulation end) are dropped.
-    """
-    storage_by_request: dict[int, list] = {}
-    for r in source.iter_records("storage"):
-        storage_by_request.setdefault(r.request_id, []).append(r)
-    memory_by_request: dict[int, list] = {}
-    for r in source.iter_records("memory"):
-        memory_by_request.setdefault(r.request_id, []).append(r)
-    cpu_by_request: dict[int, list] = {}
-    for r in source.iter_records("cpu"):
-        if r.server not in _CONTROL_SERVERS:
-            cpu_by_request.setdefault(r.request_id, []).append(r)
-    network_by_request: dict[int, list] = {}
-    for r in source.iter_records("network"):
-        if r.server not in _CONTROL_SERVERS:
-            network_by_request.setdefault(r.request_id, []).append(r)
-
-    completed = (
-        r
-        for r in source.iter_records("requests")
-        if r.completion_time > r.arrival_time
-    )
-    features = []
-    for record in completed:
-        rid = record.request_id
-        storage = sorted(
-            storage_by_request.get(rid, []), key=lambda r: r.timestamp
-        )
-        memory = sorted(memory_by_request.get(rid, []), key=lambda r: r.timestamp)
-        cpu = cpu_by_request.get(rid, [])
-        network = network_by_request.get(rid, [])
-        if not storage or not memory or not cpu or not network:
-            continue
-        lookup = sum(r.busy_seconds for r in cpu if r.phase == "lookup")
-        aggregate = sum(r.busy_seconds for r in cpu if r.phase != "lookup")
-        features.append(
-            RequestFeatures(
-                request_id=rid,
-                request_class=record.request_class,
-                server=record.server,
-                arrival_time=record.arrival_time,
-                latency=record.latency,
-                network_bytes=max(r.size_bytes for r in network),
-                cpu_lookup_busy=lookup,
-                cpu_aggregate_busy=aggregate,
-                memory_op=memory[0].op,
-                memory_bytes=sum(r.size_bytes for r in memory),
-                memory_bank=memory[0].bank,
-                storage_op=storage[0].op,
-                storage_bytes=sum(r.size_bytes for r in storage),
-                storage_lbn=storage[0].lbn,
-            )
-        )
-    features.sort(key=lambda f: f.arrival_time)
-
-    # Seek deltas between consecutive requests on the same server.
-    block = 4096
-    last_end: dict[str, int] = {}
-    for f in features:
-        blocks = max(1, -(-f.storage_bytes // block))
-        if f.server in last_end:
-            f.storage_delta = f.storage_lbn - last_end[f.server]
-        f.storage_delta = int(f.storage_delta)
-        last_end[f.server] = f.storage_lbn + blocks
-    return features
-
+from tests.oracles import reference_request_features
 
 _FLOAT_FIELDS = {"arrival_time", "latency", "cpu_lookup_busy", "cpu_aggregate_busy"}
 

@@ -25,7 +25,6 @@ from repro.cli import main
 from repro.core import (
     WorkloadFeatureStats,
     WorkloadProfileBuilder,
-    extract_request_features,
     model_to_dict,
 )
 from repro.datacenter import FleetSpec, collect_fleet_to_store, run_gfs_workload
@@ -50,6 +49,7 @@ from repro.store import (
     load_store_rounds,
     train_per_class,
 )
+from repro.tracing import source_columns
 
 # -- accumulator snapshots ---------------------------------------------------
 
@@ -226,9 +226,16 @@ def gfs_traces():
     return run_gfs_workload(n_requests=60, seed=3).traces
 
 
+def profile_builder(source, **kwargs):
+    """A builder with every stream of ``source`` folded in."""
+    builder = WorkloadProfileBuilder(**kwargs)
+    for stream in source.streams():
+        builder.update_batch(stream, source_columns(source, stream))
+    return builder
+
+
 def test_profile_builder_state_roundtrip(gfs_traces):
-    builder = WorkloadProfileBuilder(window=0.25, cores=8)
-    builder.add_source(gfs_traces)
+    builder = profile_builder(gfs_traces, window=0.25, cores=8)
     restored = WorkloadProfileBuilder.from_state(
         json.loads(json.dumps(builder.state()))
     )
@@ -239,18 +246,14 @@ def test_profile_builder_state_roundtrip(gfs_traces):
 
 
 def test_profile_builder_rejects_newer_schema(gfs_traces):
-    builder = WorkloadProfileBuilder()
-    builder.add_source(gfs_traces)
-    state = builder.state()
+    state = profile_builder(gfs_traces).state()
     state["version"] = STREAMING_STATE_VERSION + 1
     with pytest.raises(ValueError, match="version"):
         WorkloadProfileBuilder.from_state(state)
 
 
 def test_feature_stats_state_roundtrip(gfs_traces):
-    stats = WorkloadFeatureStats.from_features(
-        extract_request_features(gfs_traces)
-    )
+    stats = WorkloadFeatureStats.from_source(gfs_traces)
     restored = WorkloadFeatureStats.from_state(
         json.loads(json.dumps(stats.state()))
     )

@@ -11,6 +11,7 @@ from repro.core import (
     KoozaTrainer,
     ReplayHarness,
     compare_workloads,
+    extract_request_features,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -127,6 +128,25 @@ def test_cli_validate_trains_when_no_model(gfs_run, tmp_path):
     assert main(["validate", str(traces_dir)]) == 0
 
 
+def test_cli_validate_prints_the_table2_report(gfs_run, tmp_path, capsys):
+    # `repro validate` and the Table-2 bench grade a model the same way:
+    # its table is compare_workloads over the replayed synthetic run.
+    traces_dir = tmp_path / "traces"
+    save_traces(gfs_run.traces, traces_dir)
+    model_path = save_model(KoozaTrainer().fit(gfs_run.traces), tmp_path / "m.json")
+    seed = 7
+    capsys.readouterr()
+    argv = ["validate", "--in", str(traces_dir), "--model", str(model_path),
+            "--seed", str(seed)]
+    assert main(argv) == 0
+    *table, summary = capsys.readouterr().out.splitlines()
+    assert summary.startswith("worst feature deviation: ")
+    n = len(extract_request_features(gfs_run.traces))
+    synthetic = load_model(model_path).synthesize(n, np.random.default_rng(seed))
+    replayed = ReplayHarness(seed=seed + 1).replay(synthetic)
+    assert "\n".join(table) == compare_workloads(gfs_run.traces, replayed).to_table()
+
+
 def _exit_message(argv) -> str:
     """The message of a command that must exit nonzero without a traceback."""
     with pytest.raises(SystemExit) as excinfo:
@@ -196,6 +216,20 @@ def test_cli_validate_missing_model_file(gfs_run, tmp_path):
     argv = ["validate", "--in", str(traces_dir), "--model", str(missing)]
     assert str(missing) in _exit_message(argv)
     assert str(missing) in _exit_message(argv + ["--per-class"])
+
+
+def test_cli_describe_bad_path_exits_with_one_line(tmp_path):
+    missing = tmp_path / "no-such-dir"
+    assert _exit_message(["describe", str(missing)]) == (
+        f"cannot load model {missing}: "
+        f"[Errno 2] No such file or directory: '{missing}'"
+    )
+    corrupt = tmp_path / "corrupt.json"
+    corrupt.write_text('{"broken')
+    assert _exit_message(["describe", str(corrupt)]) == (
+        f"cannot load model {corrupt}: "
+        "Unterminated string starting at: line 1 column 2 (char 1)"
+    )
 
 
 def test_cli_unknown_app_rejected(tmp_path):

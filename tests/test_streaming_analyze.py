@@ -1,8 +1,9 @@
 """Tests for the streaming analysis engine and the TraceSource API.
 
-Pins down the PR-4 acceptance contract: streaming accumulators merge
-associatively; the sharded one-pass profile/validation equals the batch
-path on the materialized merge for 1, 2 and 4 workers; per-class
+Pins down the streaming contract: accumulators merge associatively;
+the sharded one-pass profile/validation equals the batch oracles of
+``tests/oracles.py`` on the materialized merge for 1, 2 and 4 workers;
+``compare_workloads`` equals the Table-2 record walk; per-class
 validation matches a manual per-class split; `repro characterize --in`
 and `repro validate --per-class --in` never construct the merged
 ``TraceSet`` (the stitch path is monkeypatched to explode); and the
@@ -16,15 +17,17 @@ from repro.cli import main
 from repro.core import (
     KoozaTrainer,
     ReplayHarness,
-    WorkloadFeatureStats,
-    WorkloadProfile,
     WorkloadProfileBuilder,
-    compare_feature_stats,
     compare_workloads,
     extract_request_features,
     split_traces_by_class,
 )
-from repro.datacenter import FleetSpec, collect_fleet_to_store, run_gfs_workload
+from repro.datacenter import (
+    FleetSpec,
+    collect_fleet_to_store,
+    run_gfs_workload,
+    run_webapp_workload,
+)
 from repro.stats import (
     CategoricalCounter,
     CoMomentsAccumulator,
@@ -35,6 +38,7 @@ from repro.stats import (
     ReservoirQuantile,
     SeekStats,
     WindowedCounter,
+    cross_correlation,
 )
 from repro.store import (
     ShardStore,
@@ -52,6 +56,15 @@ from repro.tracing import (
     as_trace_set,
     load_traces,
     save_traces,
+    source_columns,
+)
+from repro.tracing.columnar import take_columns
+
+from tests.oracles import (
+    compare_by_walk,
+    profile_from_traces,
+    profile_key,
+    reference_request_features,
 )
 
 
@@ -223,7 +236,7 @@ def test_flat_trace_dump_requires_stream_files(tmp_path):
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_streaming_profile_equals_batch(store_dir, merged, workers):
-    batch = WorkloadProfile.from_traces(merged)
+    batch = profile_from_traces(merged)
     streamed = characterize_source(ShardStore(store_dir), workers=workers)
     assert streamed == batch
     assert "storage:" in streamed.describe()
@@ -234,55 +247,95 @@ def test_streaming_profile_builder_merge_associative(merged):
     # stream (what shards are) — seam-aware accumulators like SeekStats
     # depend on record adjacency.
     whole = WorkloadProfileBuilder()
-    whole.add_source(merged)
     parts = [WorkloadProfileBuilder() for _ in range(3)]
     for stream in merged.streams():
-        records = list(merged.iter_records(stream))
-        third = -(-len(records) // 3) or 1
-        for i, record in enumerate(records):
-            parts[min(i // third, 2)].add(stream, record)
+        cols = source_columns(merged, stream)
+        whole.update_batch(stream, cols)
+        bounds = np.linspace(0, cols["n"], 4).astype(int)
+        for part, lo, hi in zip(parts, bounds, bounds[1:]):
+            part.update_batch(stream, take_columns(cols, np.arange(lo, hi)))
     parts[0].merge(parts[1]).merge(parts[2])
     assert parts[0].profile() == whole.profile()
+    assert parts[0].profile() == profile_from_traces(merged)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_streaming_validation_stats_equal_batch(store_dir, merged, workers):
     analysis = analyze_source(ShardStore(store_dir), workers=workers)
-    batch = WorkloadFeatureStats.from_features(extract_request_features(merged))
-    assert analysis.features.n == batch.n
-    assert set(analysis.features.profiles) == set(batch.profiles)
-    for key, o in batch.profiles.items():
+    features = reference_request_features(merged)
+    by_profile = {}
+    for f in features:
+        by_profile.setdefault(profile_key(f), []).append(f)
+    assert analysis.features.n == len(features)
+    assert set(analysis.features.profiles) == set(by_profile)
+    for key, group in by_profile.items():
         s = analysis.features.profiles[key]
-        assert s.n == o.n
+        assert s.n == len(group)
         assert s.network_bytes.mean == pytest.approx(
-            o.network_bytes.mean, rel=1e-9
+            np.mean([f.network_bytes for f in group]), rel=1e-9
         )
-        assert s.latency.quantile(0.95) == o.latency.quantile(0.95)
+        assert s.latency.quantile(0.95) == np.percentile(
+            [f.latency for f in group], 95
+        )
     assert analysis.features.joint.correlation == pytest.approx(
-        batch.joint.correlation, rel=1e-9
+        cross_correlation(
+            [f.network_bytes for f in features],
+            [f.storage_bytes for f in features],
+        ),
+        rel=1e-9,
     )
 
 
-def test_compare_feature_stats_matches_compare_workloads(merged):
-    model = KoozaTrainer().fit(merged)
-    synthetic = model.synthesize(150, np.random.default_rng(8))
-    replayed = ReplayHarness(seed=9).replay(synthetic)
-    batch = compare_workloads(merged, replayed)
-    streamed = compare_feature_stats(
-        WorkloadFeatureStats.from_source(merged),
-        WorkloadFeatureStats.from_source(replayed),
+@pytest.fixture(scope="module")
+def replayed_runs(merged):
+    """(original, replayed synthetic) pairs on a gfs and a webapp run."""
+    runs = {"gfs": merged, "webapp": run_webapp_workload(n_requests=300, seed=6)}
+    pairs = {}
+    for app, original in runs.items():
+        model = KoozaTrainer().fit(original)
+        synthetic = model.synthesize(150, np.random.default_rng(8))
+        pairs[app] = (original, ReplayHarness(seed=9).replay(synthetic))
+    return pairs
+
+
+@pytest.mark.parametrize("app", ("gfs", "webapp"))
+def test_compare_workloads_matches_record_walk(replayed_runs, app):
+    original, replayed = replayed_runs[app]
+    report = compare_workloads(original, replayed)
+    walk = compare_by_walk(original, replayed)
+    assert report.to_table() == walk.to_table()
+    assert (report.n_original, report.n_synthetic) == (
+        walk.n_original,
+        walk.n_synthetic,
     )
-    assert streamed.latency_ks == batch.latency_ks
-    assert streamed.n_original == batch.n_original
-    assert streamed.joint_correlation_original == pytest.approx(
-        batch.joint_correlation_original, rel=1e-9
+    assert report.latency_ks == walk.latency_ks
+    assert report.latency_ks_pvalue == walk.latency_ks_pvalue
+    assert report.joint_correlation_original == pytest.approx(
+        walk.joint_correlation_original, rel=1e-9
     )
-    assert len(streamed.profiles) == len(batch.profiles)
-    for s, b in zip(streamed.profiles, batch.profiles):
-        assert s.profile == b.profile
-        assert s.network_bytes == pytest.approx(b.network_bytes, rel=1e-9)
-        assert s.latency_p95 == b.latency_p95
-        assert s.memory_op_match == b.memory_op_match
+    assert report.joint_correlation_synthetic == pytest.approx(
+        walk.joint_correlation_synthetic, rel=1e-9
+    )
+    assert len(report.profiles) == len(walk.profiles) > 0
+    for got, want in zip(report.profiles, walk.profiles):
+        assert got.profile == want.profile
+        assert (got.n_original, got.n_synthetic) == (
+            want.n_original,
+            want.n_synthetic,
+        )
+        assert got.latency_p95 == want.latency_p95
+        assert got.memory_op_match == want.memory_op_match
+        assert got.storage_op_match == want.storage_op_match
+        for name in (
+            "network_bytes",
+            "cpu_utilization",
+            "memory_bytes",
+            "storage_bytes",
+            "latency",
+        ):
+            assert getattr(got, name) == pytest.approx(
+                getattr(want, name), rel=1e-9
+            ), name
 
 
 # -- per-class validation ----------------------------------------------------
