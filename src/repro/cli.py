@@ -42,6 +42,7 @@ any command with status 130 after flushing open shard writers.
 from __future__ import annotations
 
 import argparse
+import os
 import signal
 import sys
 import threading
@@ -309,6 +310,7 @@ def _cmd_compact(args: argparse.Namespace) -> int:
 
 def _cmd_merge(args: argparse.Namespace) -> int:
     from .store import ShardStore
+    from .tracing import save_traces
 
     path = _input_path(args, "store")
     try:
@@ -316,7 +318,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     except FileNotFoundError as error:
         raise SystemExit(str(error))
     out = args.out if args.out is not None else path / "merged"
-    store.save_merged(out, compress=args.gzip)
+    save_traces(store, out, compress=args.gzip)
     summary = ", ".join(f"{k}={v}" for k, v in store.summary().items())
     print(
         f"stitched {len(store)} shards from {path} into {out} ({summary})"
@@ -1163,13 +1165,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return status
     except KeyboardInterrupt:
         # Fleet workers / shard writers clean up via their context
         # managers (aborted shards leave no manifest); the serve path
         # additionally flushes ingest and checkpoints in its finally.
         print("interrupted", file=sys.stderr)
         return 130
+    except BrokenPipeError:
+        # The reader went away (``repro characterize ... | head``).
+        # Point stdout at devnull so the interpreter's own flush at
+        # exit cannot raise again, and fail quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

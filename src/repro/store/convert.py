@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..tracing.store import STREAM_TYPES
+from ..tracing.store import STREAM_TYPES, check_codec
 from .manifest import (
-    SHARD_CODECS,
     ShardManifest,
     load_store_index,
     load_store_rounds,
@@ -45,8 +44,7 @@ def convert_store(
     column buffers are raw binary).  The destination must not already
     hold a shard store.
     """
-    if codec not in SHARD_CODECS:
-        raise ValueError(f"unknown shard codec {codec!r}")
+    check_codec(codec, compress)
     source = Path(source)
     destination = Path(destination)
     if not is_shard_store(source):
@@ -101,18 +99,20 @@ def convert_flat_dump(
 ) -> Path:
     """Rewrite a flat trace dump under another codec.
 
-    The flat-dump counterpart of :func:`convert_store`: records are
-    loaded through :class:`~repro.tracing.FlatTraceDump` (either codec)
-    and saved back via :func:`~repro.tracing.save_traces`.
+    The flat-dump counterpart of :func:`convert_store`: records stream
+    from a :class:`~repro.tracing.FlatTraceDump` (either codec) through
+    :func:`~repro.tracing.save_traces`, one record at a time.  The
+    destination must not already hold a stream file (of either codec):
+    writing into it would truncate the streams still being read when it
+    is the source, and leave a directory mixing codecs otherwise.
     """
-    from ..tracing import TraceSet
     from ..tracing.source import FlatTraceDump
-    from ..tracing.store import save_traces
+    from ..tracing.store import holds_stream_files, save_traces
 
     dump = FlatTraceDump(source)
-    traces = TraceSet()
-    for stream in dump.streams():
-        getattr(traces, stream).extend(dump.iter_records(stream))
-    return save_traces(
-        traces, destination, compress=compress, codec=codec
-    )
+    if holds_stream_files(destination):
+        raise FileExistsError(
+            f"{destination} already holds trace stream files; choose a "
+            "fresh directory"
+        )
+    return save_traces(dump, destination, compress=compress, codec=codec)

@@ -26,21 +26,11 @@ from typing import Any, Iterator
 from ..tracing import TraceSet, shift_request, shift_span, shift_subsystem_record
 from ..tracing.columnar import (
     class_columns,
-    find_columnar_stream,
-    iter_columnar_records,
     read_stream_columns,
     records_from_columns,
 )
-from ..tracing.codec import dumps
-from ..tracing.source import source_columns
-from ..tracing.store import (
-    STREAM_TYPES,
-    find_stream_file,
-    iter_record_batches,
-    iter_stream_records,
-    open_trace_write,
-    stream_header,
-)
+from ..tracing.source import as_trace_set, source_columns
+from ..tracing.store import STREAM_TYPES, iter_directory_records
 from .manifest import MANIFEST_FILENAME, ShardManifest, shard_manifest_paths
 from .stitch import StitchOffsets, offsets_for, total_extent
 
@@ -204,44 +194,8 @@ class ShardStore:
     # -- records -------------------------------------------------------------
 
     def iter_shard_stream(self, manifest: ShardManifest, stream: str) -> Iterator:
-        """Yield one shard's records for ``stream``, unshifted.
-
-        Works for either codec: columnar shards materialize record
-        objects identical to what the JSONL reader yields.
-        """
-        shard_dir = self.shard_dir(manifest)
-        path = find_stream_file(shard_dir, stream)
-        if path is not None:
-            yield from iter_stream_records(path, STREAM_TYPES[stream])
-            return
-        if find_columnar_stream(shard_dir, stream) is not None:
-            yield from iter_columnar_records(shard_dir, stream)
-
-    def iter_shard_stream_batches(
-        self, manifest: ShardManifest, stream: str, batch_size: int = 1024
-    ) -> Iterator[list]:
-        """Yield one shard's records for ``stream`` in decoded batches.
-
-        The batched fast path under :meth:`iter_shard_stream` — one list
-        per ``batch_size`` records, unshifted.
-        """
-        shard_dir = self.shard_dir(manifest)
-        path = find_stream_file(shard_dir, stream)
-        if path is not None:
-            yield from iter_record_batches(
-                path, STREAM_TYPES[stream], batch_size=batch_size
-            )
-            return
-        if find_columnar_stream(shard_dir, stream) is None:
-            return
-        batch: list = []
-        for record in iter_columnar_records(shard_dir, stream):
-            batch.append(record)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
+        """Yield one shard's records for ``stream``, unshifted."""
+        return iter_directory_records(self.shard_dir(manifest), stream)
 
     def load_shard_stream_columns(
         self,
@@ -270,17 +224,14 @@ class ShardStore:
         if stream not in STREAM_TYPES:
             raise ValueError(f"unknown stream {stream!r}")
         for manifest, offsets in zip(self.manifests, self.offsets()):
-            shift = shifter_for(stream, offsets)
-            for batch in self.iter_shard_stream_batches(manifest, stream):
-                for record in batch:
-                    yield shift(record)
+            yield from map(
+                shifter_for(stream, offsets),
+                self.iter_shard_stream(manifest, stream),
+            )
 
     def merged(self) -> TraceSet:
         """Materialize the stitched merge of all shards."""
-        traces = TraceSet()
-        for stream in STREAM_TYPES:
-            getattr(traces, stream).extend(self.iter_stream(stream))
-        return traces
+        return as_trace_set(self)
 
     def class_traces(self, request_class: str) -> TraceSet:
         """The stitched records belonging to one request class.
@@ -297,26 +248,6 @@ class ShardStore:
         for stream, cols in part.items():
             getattr(traces, stream).extend(records_from_columns(stream, cols))
         return traces
-
-    # -- export --------------------------------------------------------------
-
-    def save_merged(
-        self, directory: str | Path, compress: bool = False
-    ) -> Path:
-        """Stream the stitched merge into a flat v2 trace dump.
-
-        Equivalent to ``save_traces(self.merged(), directory)`` but never
-        holds more than one record in memory per stream.
-        """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        suffix = ".jsonl.gz" if compress else ".jsonl"
-        for stream in STREAM_TYPES:
-            with open_trace_write(directory / f"{stream}{suffix}") as fh:
-                fh.write(dumps(stream_header(stream)) + "\n")
-                for record in self.iter_stream(stream):
-                    fh.write(dumps(record.to_dict()) + "\n")
-        return directory
 
     def summary(self) -> dict[str, int]:
         """Record counts per stream (same shape as ``TraceSet.summary``)."""

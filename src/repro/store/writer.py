@@ -1,35 +1,27 @@
 """Incremental shard writer: the streaming end of the trace store.
 
 A :class:`ShardWriter` is the sink a fleet replica's
-:class:`~repro.tracing.Tracer` streams into: every record is appended
-to ``<shard-dir>/<stream>.jsonl[.gz]`` the moment it is collected, and
-the stitch bookkeeping (extent, max ids, per-class request counts) is
-tracked incrementally with exactly the semantics of
-:mod:`repro.store.stitch` — so the manifest written by
-:meth:`finalize` describes the shard without ever re-reading it, and a
-merge driven purely by manifests reproduces the in-memory merge
-byte for byte.
+:class:`~repro.tracing.Tracer` streams into: every record goes to its
+stream file through :func:`repro.tracing.store.open_stream_writer` (the
+writer flat dumps use) the moment it is collected, and the stitch
+bookkeeping (extent, max ids, per-class request counts) is tracked
+incrementally with exactly the semantics of :mod:`repro.store.stitch` —
+so the manifest written by :meth:`finalize` describes the shard without
+ever re-reading it, and a merge driven purely by manifests reproduces
+the in-memory merge byte for byte.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Any, Mapping, Optional, TextIO
+from typing import Any, Mapping, Optional
 
 from .._version import tool_version
-from ..tracing.codec import dumps
-from ..tracing.columnar import ColumnarStreamWriter
-from ..tracing.store import STREAM_TYPES, open_trace_write, stream_header
-from .manifest import SHARD_CODECS, ShardManifest
+from ..tracing.store import STREAM_TYPES, check_codec, open_stream_writer
+from .manifest import ShardManifest
 
 __all__ = ["ShardWriter", "shard_dirname"]
-
-#: Lines buffered per jsonl stream before hitting the file object.  The
-#: buffered bytes are identical to per-record writes (flushes are pure
-#: concatenation), but gzip streams see ~2 orders of magnitude fewer
-#: write calls.
-_BUFFER_LINES = 256
 
 
 def shard_dirname(index: int) -> str:
@@ -65,13 +57,7 @@ class ShardWriter:
         codec: str = "jsonl",
         continues: bool = False,
     ):
-        if codec not in SHARD_CODECS:
-            raise ValueError(f"unknown shard codec {codec!r}")
-        if codec == "columnar" and compress:
-            raise ValueError(
-                "columnar shards do not support compress "
-                "(column buffers are raw binary)"
-            )
+        check_codec(codec, compress)
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.index = index
@@ -82,10 +68,7 @@ class ShardWriter:
         self.codec = codec
         self.round = round
         self.continues = continues
-        self._suffix = ".jsonl.gz" if compress else ".jsonl"
-        self._files: dict[str, TextIO] = {}
-        self._buffers: dict[str, list[str]] = {}
-        self._columns: dict[str, ColumnarStreamWriter] = {}
+        self._writers: dict[str, Any] = {}
         self._finalized = False
         # Stitch bookkeeping, incremental mirror of repro.store.stitch.
         self._extent = 0.0
@@ -97,44 +80,16 @@ class ShardWriter:
     # -- sink protocol -------------------------------------------------------
 
     def write(self, stream: str, record) -> None:
-        """Append one record to its stream file and update bookkeeping.
-
-        jsonl records are staged in a per-stream line buffer and flushed
-        in batches (and at :meth:`finalize`); the flushed bytes are
-        identical to unbuffered per-record writes.
-        """
+        """Append one record to its stream file and update bookkeeping."""
         if self._finalized:
             raise RuntimeError("shard already finalized")
-        if self.codec == "columnar":
-            writer = self._columns.get(stream)
-            if writer is None:
-                if stream not in STREAM_TYPES:
-                    raise ValueError(f"unknown stream {stream!r}")
-                writer = ColumnarStreamWriter(self.directory, stream)
-                self._columns[stream] = writer
-            writer.write(record)
-        else:
-            buffer = self._buffers.get(stream)
-            if buffer is None:
-                if stream not in STREAM_TYPES:
-                    raise ValueError(f"unknown stream {stream!r}")
-                fh = open_trace_write(
-                    self.directory / f"{stream}{self._suffix}"
-                )
-                fh.write(dumps(stream_header(stream)) + "\n")
-                self._files[stream] = fh
-                buffer = self._buffers[stream] = []
-            buffer.append(dumps(record.to_dict()))
-            if len(buffer) >= _BUFFER_LINES:
-                self._files[stream].write("\n".join(buffer) + "\n")
-                buffer.clear()
+        writer = self._writers.get(stream)
+        if writer is None:
+            writer = self._writers[stream] = open_stream_writer(
+                self.directory, stream, self.codec, self.compress
+            )
+        writer.write(record)
         self._track(stream, record)
-
-    def _flush_buffers(self) -> None:
-        for stream, buffer in self._buffers.items():
-            if buffer:
-                self._files[stream].write("\n".join(buffer) + "\n")
-                buffer.clear()
 
     def _track(self, stream: str, record) -> None:
         self._counts[stream] += 1
@@ -187,27 +142,19 @@ class ShardWriter:
         if self._finalized:
             raise RuntimeError("shard already finalized")
         self._finalized = True
-        self._flush_buffers()
-        for fh in self._files.values():
-            fh.close()
-        self._files.clear()
-        self._buffers.clear()
-        for writer in self._columns.values():
+        for writer in self._writers.values():
             writer.close()
-        self._columns.clear()
         # Hash the raw stream-file bytes after close: the digest covers
         # exactly what a reader will see — one file per jsonl stream, a
         # combined digest over a columnar stream's header + column
         # buffers — so any later edit or corruption is detectable.
         from .cache import stream_content_hash
 
-        content_hashes = {}
-        for stream in sorted(self._counts):
-            if not self._counts[stream]:
-                continue
-            digest = stream_content_hash(self.directory, stream)
-            if digest is not None:
-                content_hashes[stream] = digest
+        content_hashes = {
+            stream: stream_content_hash(self.directory, stream)
+            for stream in sorted(self._writers)
+        }
+        self._writers.clear()
         manifest = ShardManifest(
             index=self.index,
             app=self.app,
@@ -240,10 +187,6 @@ class ShardWriter:
             if exc_type is None:
                 self.finalize()
             else:  # leave no half-valid shard behind a failed replica
-                self._buffers.clear()
-                for fh in self._files.values():
-                    fh.close()
-                self._files.clear()
-                for writer in self._columns.values():
+                for writer in self._writers.values():
                     writer.abort()
-                self._columns.clear()
+                self._writers.clear()

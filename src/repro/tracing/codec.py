@@ -1,8 +1,9 @@
 """One JSON codec for trace record lines.
 
-Encoding: every jsonl writer (:class:`repro.store.ShardWriter`,
-:func:`repro.tracing.save_traces`, ``ShardStore.save_merged``) and the
-columnar ``json`` columns encode one record at a time.  ``json.dumps``
+Encoding: the one jsonl stream writer
+(:func:`repro.tracing.store.open_stream_writer`, behind
+:class:`repro.store.ShardWriter` and :func:`repro.tracing.save_traces`)
+and the columnar ``json`` columns encode one record at a time.  ``json.dumps``
 builds a fresh C encoder on every call, which costs about as much as
 encoding a small record; :func:`dumps` and :func:`dumps_sorted` build
 that encoder once, with exactly ``json.dumps``'s default arguments, so

@@ -710,10 +710,7 @@ class ColumnarStreamWriter:
             buf = self._buffers[name]
             if not buf:
                 continue
-            if kind in _KIND_DTYPES:
-                dtype = _KIND_DTYPES[kind]
-            else:
-                dtype = _CODE_DTYPE
+            dtype = _KIND_DTYPES.get(kind, _CODE_DTYPE)
             self._files[name].write(np.asarray(buf, dtype=dtype).tobytes())
             buf.clear()
 
@@ -734,9 +731,7 @@ class ColumnarStreamWriter:
         if self._closed:
             return
         self.flush()
-        for fh in self._files.values():
-            fh.close()
-        self._closed = True
+        self.abort()  # closes the .bin files; the header follows
         columns = []
         for name, kind in self._schema:
             spec: dict[str, Any] = {

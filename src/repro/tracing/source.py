@@ -25,7 +25,6 @@ one stream of any source as stitched column arrays.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from typing import (
     Any,
@@ -41,8 +40,6 @@ from typing import (
 from .columnar import (
     columns_from_records,
     concat_columns,
-    find_columnar_stream,
-    iter_columnar_records,
     read_columnar_header,
     read_stream_columns,
     shift_columns,
@@ -50,11 +47,12 @@ from .columnar import (
 from .store import (
     STREAM_TYPES,
     find_stream_file,
-    iter_stream_records,
+    holds_stream_files,
+    iter_directory_records,
     open_trace_read,
     record_lines,
 )
-from .tracer import TraceSet
+from .tracer import TraceSet, records_extent
 
 __all__ = ["FlatTraceDump", "TraceSource", "as_trace_set", "source_columns"]
 
@@ -151,11 +149,7 @@ class FlatTraceDump:
         self.directory = Path(directory)
         if not self.directory.is_dir():
             raise FileNotFoundError(f"not a directory: {self.directory}")
-        if all(
-            find_stream_file(self.directory, stream) is None
-            and find_columnar_stream(self.directory, stream) is None
-            for stream in STREAM_TYPES
-        ):
+        if not holds_stream_files(self.directory):
             raise FileNotFoundError(
                 f"no trace stream files under {self.directory} "
                 f"(expected <stream>.jsonl[.gz] or <stream>.columns.json)"
@@ -167,30 +161,11 @@ class FlatTraceDump:
         return tuple(STREAM_TYPES)
 
     def iter_records(self, stream: str) -> Iterator:
-        if stream not in STREAM_TYPES:
-            raise ValueError(f"unknown stream {stream!r}")
-        path = find_stream_file(self.directory, stream)
-        if path is not None:
-            return iter_stream_records(path, STREAM_TYPES[stream])
-        if find_columnar_stream(self.directory, stream) is not None:
-            return iter_columnar_records(self.directory, stream)
-        return iter(())
+        return iter_directory_records(self.directory, stream)
 
     def extent(self) -> float:
         if self._extent is None:
-            extent = 0.0
-            for stream in ("network", "cpu", "memory", "storage"):
-                for record in self.iter_records(stream):
-                    extent = max(extent, record.timestamp)
-            for record in self.iter_records("requests"):
-                extent = max(extent, record.arrival_time, record.completion_time)
-            for span in self.iter_records("spans"):
-                extent = max(extent, span.start)
-                if not math.isnan(span.end):
-                    extent = max(extent, span.end)
-                for annotation in span.annotations:
-                    extent = max(extent, annotation.timestamp)
-            self._extent = extent
+            self._extent = records_extent(self)
         return self._extent
 
     def classes(self) -> Dict[str, int]:

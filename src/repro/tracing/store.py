@@ -1,10 +1,11 @@
-"""Trace persistence: JSON-lines serialization of a :class:`TraceSet`.
+"""Trace persistence: the stream files of a trace directory.
 
 Traces collected from a simulation run can be written to a directory
-(one ``.jsonl`` file per stream, optionally gzipped) and reloaded
-later, so model training can be decoupled from trace collection — the
-workflow the paper assumes ("each one of the four models is trained
-using traces from the corresponding subsystem").
+(one ``.jsonl`` file per stream, optionally gzipped, or the columnar
+layout) and reloaded later, so model training can be decoupled from
+trace collection — the workflow the paper assumes ("each one of the
+four models is trained using traces from the corresponding
+subsystem").
 
 Format versions:
 
@@ -14,9 +15,13 @@ Format versions:
   files may carry a ``.jsonl.gz`` suffix.  Readers accept both — the
   header is recognized by its ``format`` key, so v1 dumps keep loading.
 
-The same line-level helpers back the sharded store in
-:mod:`repro.store`, so flat dumps and shard stream files share one
-reader path; :func:`load_traces` additionally recognizes a shard-store
+Every stream file, under either codec, is written by
+:func:`open_stream_writer` and read by :func:`iter_directory_records`.
+:func:`save_traces` (flat dumps, ``repro merge``, ``repro convert``)
+and :class:`repro.store.ShardWriter` both write through it, so a flat
+dump and a shard of the same records hold the same stream bytes (a
+shard just leaves no file for an empty stream).
+:func:`load_traces` additionally recognizes a shard-store
 directory (``shard-*/manifest.json``) and opens it as a lazy
 :class:`repro.store.ShardStore` rather than stitching it eagerly.
 """
@@ -26,6 +31,7 @@ from __future__ import annotations
 import gzip
 import io
 import json
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -44,10 +50,14 @@ __all__ = [
     "STREAM_TYPES",
     "TRACES_FORMAT",
     "TRACES_VERSION",
+    "check_codec",
     "find_stream_file",
+    "holds_stream_files",
+    "iter_directory_records",
     "iter_record_batches",
     "iter_stream_records",
     "load_traces",
+    "open_stream_writer",
     "open_trace_read",
     "open_trace_write",
     "record_lines",
@@ -133,6 +143,17 @@ def find_stream_file(directory: str | Path, stream: str) -> Path | None:
         if path.exists():
             return path
     return None
+
+
+def holds_stream_files(directory: str | Path) -> bool:
+    """Whether ``directory`` holds any stream file, jsonl or columnar."""
+    from .columnar import find_columnar_stream
+
+    return any(
+        find_stream_file(directory, stream) is not None
+        or find_columnar_stream(directory, stream) is not None
+        for stream in STREAM_TYPES
+    )
 
 
 def _is_header(data: dict) -> bool:
@@ -230,45 +251,113 @@ def iter_stream_records(path: str | Path, record_cls) -> Iterator:
     misread; anything else on the first line must be a record.  Thin
     wrapper over the batched fast path (:func:`iter_record_batches`).
     """
-    for batch in iter_record_batches(path, record_cls):
-        yield from batch
+    return chain.from_iterable(iter_record_batches(path, record_cls))
+
+
+def iter_directory_records(directory: str | Path, stream: str) -> Iterator:
+    """Yield one stream's records from a directory, under either codec.
+
+    The one reader of stream files: ``<stream>.jsonl[.gz]`` when
+    present, else the columnar layout; a stream with neither yields
+    nothing (a missing file is an empty stream).
+    """
+    record_cls = STREAM_TYPES.get(stream)
+    if record_cls is None:
+        raise ValueError(f"unknown stream {stream!r}")
+    path = find_stream_file(directory, stream)
+    if path is not None:
+        return iter_stream_records(path, record_cls)
+    from .columnar import iter_columnar_records
+
+    return iter_columnar_records(directory, stream)
+
+
+#: Lines buffered per jsonl stream before hitting the file object.  The
+#: buffered bytes are identical to per-record writes (flushes are pure
+#: concatenation), but gzip streams see ~2 orders of magnitude fewer
+#: write calls.
+_BUFFER_LINES = 256
+
+
+class _JsonlStreamWriter:
+    """One jsonl stream file: the v2 header, then one record per line."""
+
+    def __init__(self, path: Path, stream: str):
+        self._fh = open_trace_write(path)
+        self._fh.write(dumps(stream_header(stream)) + "\n")
+        self._lines: list[str] = []
+
+    def write(self, record) -> None:
+        lines = self._lines
+        lines.append(dumps(record.to_dict()))
+        if len(lines) >= _BUFFER_LINES:
+            self._fh.write("\n".join(lines) + "\n")
+            lines.clear()
+
+    def close(self) -> None:
+        if self._lines:
+            self._fh.write("\n".join(self._lines) + "\n")
+            self._lines.clear()
+        self._fh.close()
+
+    def abort(self) -> None:
+        """Close the file, dropping the lines not yet written."""
+        self._lines.clear()
+        self._fh.close()
+
+
+def check_codec(codec: str, compress: bool = False) -> None:
+    """Reject an unknown codec, and ``compress`` with ``"columnar"``."""
+    if codec not in ("jsonl", "columnar"):
+        raise ValueError(f"unknown trace codec {codec!r}")
+    if codec == "columnar" and compress:
+        raise ValueError("columnar traces do not support compress")
+
+
+def open_stream_writer(
+    directory: str | Path,
+    stream: str,
+    codec: str = "jsonl",
+    compress: bool = False,
+):
+    """The one writer of stream files: ``<stream>.jsonl[.gz]`` or columnar.
+
+    Returns an object with ``write(record)``, ``close()`` and
+    ``abort()`` (close without finishing the stream).
+    """
+    check_codec(codec, compress)
+    if codec == "columnar":
+        from .columnar import ColumnarStreamWriter
+
+        return ColumnarStreamWriter(directory, stream)
+    if stream not in STREAM_TYPES:
+        raise ValueError(f"unknown stream {stream!r}")
+    suffix = ".jsonl.gz" if compress else ".jsonl"
+    return _JsonlStreamWriter(Path(directory) / f"{stream}{suffix}", stream)
 
 
 def save_traces(
-    traces: TraceSet,
+    source,
     directory: str | Path,
     compress: bool = False,
     codec: str = "jsonl",
 ) -> Path:
-    """Write each stream of ``traces`` to ``directory``.
+    """Stream every stream of a ``TraceSource`` into ``directory``.
 
-    ``codec="jsonl"`` (default) writes ``<stream>.jsonl[.gz]``;
-    ``codec="columnar"`` writes the binary struct-of-arrays layout of
-    :mod:`repro.tracing.columnar` (incompatible with ``compress`` —
-    the column buffers are raw binary).
+    A :class:`repro.store.ShardStore` source writes its stitched merge.
+    Every stream gets a file, empty ones included.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    if codec == "columnar":
-        if compress:
-            raise ValueError("columnar traces do not support compress")
-        from .columnar import ColumnarStreamWriter
-
-        for stream in STREAM_TYPES:
-            writer = ColumnarStreamWriter(directory, stream)
-            for record in getattr(traces, stream):
-                writer.write(record)
-            writer.close()
-        return directory
-    if codec != "jsonl":
-        raise ValueError(f"unknown trace codec {codec!r}")
-    suffix = ".jsonl.gz" if compress else ".jsonl"
     for stream in STREAM_TYPES:
-        records = getattr(traces, stream)
-        with open_trace_write(directory / f"{stream}{suffix}") as fh:
-            fh.write(dumps(stream_header(stream)) + "\n")
-            for record in records:
-                fh.write(dumps(record.to_dict()) + "\n")
+        writer = open_stream_writer(directory, stream, codec, compress)
+        try:
+            for record in source.iter_records(stream):
+                writer.write(record)
+        except BaseException:
+            writer.abort()
+            raise
+        writer.close()
     return directory
 
 
@@ -296,17 +385,7 @@ def load_traces(directory: str | Path):
         from ..store.shards import ShardStore
 
         return ShardStore(directory)
-    from .columnar import find_columnar_stream, iter_columnar_records
-
     traces = TraceSet()
-    for stream, record_cls in STREAM_TYPES.items():
-        path = find_stream_file(directory, stream)
-        if path is not None:
-            getattr(traces, stream).extend(
-                iter_stream_records(path, record_cls)
-            )
-        elif find_columnar_stream(directory, stream) is not None:
-            getattr(traces, stream).extend(
-                iter_columnar_records(directory, stream)
-            )
+    for stream in STREAM_TYPES:
+        getattr(traces, stream).extend(iter_directory_records(directory, stream))
     return traces

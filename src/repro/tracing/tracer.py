@@ -32,6 +32,7 @@ __all__ = [
     "STREAM_NAMES",
     "TraceSet",
     "Tracer",
+    "records_extent",
     "shift_request",
     "shift_span",
     "shift_subsystem_record",
@@ -86,6 +87,23 @@ def shift_span(
     )
 
 
+def records_extent(source) -> float:
+    """Latest timestamp in any stream of a ``TraceSource``."""
+    extent = 0.0
+    for stream in ("network", "cpu", "memory", "storage"):
+        for record in source.iter_records(stream):
+            extent = max(extent, record.timestamp)
+    for record in source.iter_records("requests"):
+        extent = max(extent, record.arrival_time, record.completion_time)
+    for span in source.iter_records("spans"):
+        extent = max(extent, span.start)
+        if not math.isnan(span.end):
+            extent = max(extent, span.end)
+        for annotation in span.annotations:
+            extent = max(extent, annotation.timestamp)
+    return extent
+
+
 @dataclass
 class TraceSet:
     """Everything collected from one simulation run.
@@ -129,19 +147,7 @@ class TraceSet:
 
     def extent(self) -> float:
         """Latest timestamp in any stream (stitch-extent semantics)."""
-        extent = 0.0
-        for stream in (self.network, self.cpu, self.memory, self.storage):
-            for record in stream:
-                extent = max(extent, record.timestamp)
-        for record in self.requests:
-            extent = max(extent, record.arrival_time, record.completion_time)
-        for span in self.spans:
-            extent = max(extent, span.start)
-            if not math.isnan(span.end):
-                extent = max(extent, span.end)
-            for annotation in span.annotations:
-                extent = max(extent, annotation.timestamp)
-        return extent
+        return records_extent(self)
 
     def classes(self) -> dict[str, int]:
         """Completed-request counts per request class, sorted by name."""

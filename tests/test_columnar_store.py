@@ -25,6 +25,7 @@ import pytest
 
 import repro.tracing.store as tracing_store
 from repro.cli import main
+from repro.datacenter import run_gfs_workload, run_webapp_workload
 from repro.stats import (
     CategoricalCounter,
     CoMomentsAccumulator,
@@ -40,6 +41,7 @@ from repro.stats import (
 from repro.store import (
     ShardStore,
     ShardWriter,
+    convert_flat_dump,
     parse_shard_index,
     shard_dirname,
 )
@@ -413,6 +415,86 @@ def test_cli_rejects_gzip_with_columnar(tmp_path):
             "convert", str(tmp_path / "missing"), "--out",
             str(tmp_path / "b"), "--codec", "columnar", "--gzip",
         ])
+
+
+# -- one stream writer for flat dumps and shards -----------------------------
+
+
+@pytest.fixture(scope="module")
+def app_traces():
+    return {
+        "gfs": run_gfs_workload(n_requests=120, seed=3).traces,
+        "webapp": run_webapp_workload(n_requests=120, seed=5),
+    }
+
+
+def _stream_files(directory):
+    return {
+        p.name: p.read_bytes()
+        for p in directory.iterdir()
+        if p.name != "manifest.json"
+    }
+
+
+@pytest.mark.parametrize(
+    "codec,compress",
+    [("jsonl", False), ("jsonl", True), ("columnar", False)],
+    ids=["jsonl", "jsonl.gz", "columnar"],
+)
+@pytest.mark.parametrize("app", ["gfs", "webapp"])
+def test_flat_dump_and_shard_hold_identical_stream_bytes(
+    app_traces, tmp_path, app, codec, compress
+):
+    traces = app_traces[app]
+    flat = save_traces(traces, tmp_path / "flat", compress=compress, codec=codec)
+    with ShardWriter(
+        tmp_path / "shard", index=0, compress=compress, codec=codec
+    ) as writer:
+        for stream in traces.streams():
+            for record in traces.iter_records(stream):
+                writer.write(stream, record)
+    flat_files = _stream_files(flat)
+    shard_files = _stream_files(tmp_path / "shard")
+    assert shard_files
+    for name, data in shard_files.items():
+        assert data == flat_files[name], name
+    # The shard opens stream files lazily: only empty streams may lack one.
+    for name in set(flat_files) - set(shard_files):
+        assert not getattr(traces, name.split(".")[0]), name
+
+
+@pytest.mark.parametrize(
+    "codec,gzip",
+    [("columnar", False), ("jsonl", True), ("jsonl", False)],
+    ids=["to-columnar", "to-gzip", "jsonl-to-jsonl"],
+)
+def test_convert_refuses_a_flat_dump_in_place(
+    app_traces, tmp_path, codec, gzip
+):
+    flat = save_traces(app_traces["gfs"], tmp_path / "flat")
+    before = _stream_files(flat)
+    with pytest.raises(FileExistsError, match="already holds"):
+        convert_flat_dump(flat, flat, codec, compress=gzip)
+    args = ["convert", str(flat), "--out", str(flat), "--codec", codec]
+    with pytest.raises(SystemExit) as exc:
+        main(args + (["--gzip"] if gzip else []))
+    assert "already holds" in str(exc.value.code)
+    assert _stream_files(flat) == before
+
+
+def test_convert_refuses_a_destination_holding_streams(app_traces, tmp_path):
+    flat = save_traces(app_traces["gfs"], tmp_path / "flat")
+    before = _stream_files(flat)
+    for codec in ("jsonl", "columnar"):
+        taken = save_traces(TraceSet(), tmp_path / f"taken-{codec}", codec=codec)
+        taken_before = _stream_files(taken)
+        with pytest.raises(FileExistsError):
+            convert_flat_dump(flat, taken, "jsonl")
+        assert _stream_files(taken) == taken_before
+    # A fresh destination converts, and back again to the source bytes.
+    convert_flat_dump(flat, tmp_path / "columnar", "columnar")
+    convert_flat_dump(tmp_path / "columnar", tmp_path / "back", "jsonl")
+    assert _stream_files(tmp_path / "back") == before == _stream_files(flat)
 
 
 # -- determinism bugfix sweep ------------------------------------------------

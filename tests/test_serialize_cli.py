@@ -1,9 +1,15 @@
 """Tests for model persistence and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro.cli import main
 from repro.core import (
@@ -230,6 +236,27 @@ def test_cli_describe_bad_path_exits_with_one_line(tmp_path):
         f"cannot load model {corrupt}: "
         "Unterminated string starting at: line 1 column 2 (char 1)"
     )
+
+
+def test_cli_exits_quietly_when_the_stdout_reader_goes_away(gfs_run, tmp_path):
+    """``repro characterize ... | head`` must not end in a traceback."""
+    traces_dir = save_traces(gfs_run.traces, tmp_path / "traces")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).resolve().parents[1])]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "characterize", str(traces_dir)],
+        cwd=tmp_path,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader is gone before the first line
+    _, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert b"Traceback" not in stderr and b"BrokenPipeError" not in stderr, stderr
 
 
 def test_cli_unknown_app_rejected(tmp_path):

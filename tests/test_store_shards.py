@@ -193,7 +193,7 @@ def test_save_merged_streams_flat_dump(tmp_path):
     kwargs = dict(app="gfs", replicas=2, seed=1, n_requests=25)
     collect_fleet_to_store(FleetSpec(**kwargs), directory=tmp_path / "s")
     store = ShardStore(tmp_path / "s")
-    store.save_merged(tmp_path / "flat")
+    save_traces(store, tmp_path / "flat")
     _assert_traces_equal(store.merged(), load_traces(tmp_path / "flat"))
 
 
