@@ -97,30 +97,6 @@ def _open_source(path: Path):
 
 
 def _cmd_collect(args: argparse.Namespace) -> int:
-    profile_path = getattr(args, "profile", None)
-    if profile_path is None:
-        return _collect(args)
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        return _collect(args)
-    finally:
-        profiler.disable()
-        profile_path.parent.mkdir(parents=True, exist_ok=True)
-        profiler.dump_stats(profile_path)
-        stats = pstats.Stats(profiler)
-        total = stats.total_tt  # type: ignore[attr-defined]
-        print(
-            f"profile: {stats.total_calls} calls in {total:.2f}s CPU "
-            f"dumped to {profile_path} (inspect with python -m pstats, "
-            "or snakeviz if installed)"
-        )
-
-
-def _collect(args: argparse.Namespace) -> int:
     from .datacenter import (
         FleetSpec,
         collect_fleet_to_store,
@@ -310,14 +286,15 @@ def _cmd_compact(args: argparse.Namespace) -> int:
 
 def _cmd_merge(args: argparse.Namespace) -> int:
     from .store import ShardStore
-    from .tracing import save_traces
+    from .tracing.store import refuse_stream_files, save_traces
 
     path = _input_path(args, "store")
+    out = args.out if args.out is not None else path / "merged"
     try:
         store = ShardStore(path)
-    except FileNotFoundError as error:
+        refuse_stream_files(out)
+    except (FileNotFoundError, FileExistsError) as error:
         raise SystemExit(str(error))
-    out = args.out if args.out is not None else path / "merged"
     save_traces(store, out, compress=args.gzip)
     summary = ", ".join(f"{k}={v}" for k, v in store.summary().items())
     print(
@@ -785,16 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
             "<out>/_checkpoints; implies windowed collection)",
         )
         cmd.add_argument("--out", type=Path, required=True)
-        cmd.add_argument(
-            "--profile",
-            type=Path,
-            default=None,
-            metavar="PATH",
-            help="profile the collection under cProfile and dump pstats "
-            "to PATH (load with python -m pstats PATH; with --workers > "
-            "1 only the coordinating process is profiled — use "
-            "--workers 1 to profile replica simulation itself)",
-        )
 
     collect = sub.add_parser("collect", help="run a workload, save traces")
     add_collect_args(collect)

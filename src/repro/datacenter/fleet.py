@@ -7,6 +7,13 @@ one of the three standard workloads (gfs, webapp, mapreduce), each one
 driven by a :class:`~repro.datacenter.session.ReplicaSession`, across
 worker processes and stitches their traces onto one timeline.
 
+:func:`collect_fleet_to_store` streams replicas into an on-disk shard
+store through one worker, :func:`write_replica`: each replica is split
+into N window shards, checkpointed at every window boundary when the
+collect has a checkpoint directory.  A single-shot collect is the
+one-window case without checkpoints, and :func:`resume_fleet_collection`
+re-dispatches the same worker from a saved fleet plan.
+
 Two properties make the merged result well-defined:
 
 * **Deterministic sharding** — replica ``k`` seeds every stochastic
@@ -29,7 +36,7 @@ from __future__ import annotations
 import itertools
 import shutil
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
 
@@ -52,9 +59,8 @@ __all__ = [
     "FleetResult",
     "FleetSpec",
     "ReplicaResult",
-    "ShardTask",
+    "ReplicaTask",
     "StoreFleetResult",
-    "WindowedTask",
     "checkpoint_filename",
     "collect_fleet",
     "collect_fleet_to_store",
@@ -68,8 +74,7 @@ __all__ = [
     "run_replica",
     "sweep_grid",
     "sweep_replica_specs",
-    "write_replica_shard",
-    "write_windowed_replica",
+    "write_replica",
 ]
 
 #: Workloads the fleet can drive, with their default arrival rates.
@@ -346,55 +351,22 @@ def sweep_replica_specs(
 # -- streaming collection into an on-disk shard store ------------------------
 
 
-def replica_params(spec: ReplicaSpec) -> dict[str, Any]:
-    """The spec parameters a shard manifest records for grouping."""
-    return {
+def replica_params(
+    spec: ReplicaSpec, window: Optional[int] = None, n_windows: int = 1
+) -> dict[str, Any]:
+    """The spec parameters a shard manifest records for grouping.
+
+    A checkpointed collect passes ``window``, and its shards also
+    record which replica and window of how many they hold.
+    """
+    params = {
         "n_requests": spec.n_requests,
         "arrival_rate": spec.arrival_rate,
         "sample_every": spec.sample_every,
     }
-
-
-@dataclass(frozen=True)
-class ShardTask:
-    """One worker's assignment: run a replica, stream it to a shard dir."""
-
-    replica: ReplicaSpec
-    directory: str
-    compress: bool = False
-    round: int = 0
-    #: Stream layout the shard is written in (``"jsonl"``/``"columnar"``).
-    codec: str = "jsonl"
-
-
-def write_replica_shard(task: ShardTask) -> ShardManifest:
-    """Worker entry point: simulate one replica straight onto disk.
-
-    The tracer streams every record into a :class:`ShardWriter` the
-    moment it is collected (``keep_records=False`` — only the sampled
-    spans are held until the end), so the worker's memory stays bounded
-    and the only thing pickled back through the pool is the manifest.
-    """
-    spec = task.replica
-    writer = ShardWriter(
-        Path(task.directory) / shard_dirname(spec.index),
-        index=spec.index,
-        app=spec.app,
-        seed=spec.seed,
-        params=replica_params(spec),
-        compress=task.compress,
-        round=task.round,
-        codec=task.codec,
-    )
-    session = ReplicaSession(
-        spec,
-        tracer=Tracer(
-            sample_every=spec.sample_every, sink=writer, keep_records=False
-        ),
-    )
-    session.run_to_completion()
-    session.tracer.close()
-    return writer.finalize(_replica_duration(session, writer.extent))
+    if window is not None:
+        params.update(replica=spec.index, window=window, windows=n_windows)
+    return params
 
 
 @dataclass
@@ -451,30 +423,39 @@ def collect_fleet_to_store(
     ``repro merge``); the result is byte-identical to
     ``merge_replicas(collect_replicas(...))`` for any worker count.
 
+    Every replica runs through one worker, :func:`write_replica`, which
+    splits it into ``windows`` shards.  With ``windows=N`` the ``i``-th
+    spec of this call runs as replica ``start_replica + spec.index``
+    (``spec.index == i`` for fleet and sweep lists) and owns shards
+    ``start_shard + i*N .. start_shard + i*N + N-1``, where
+    ``start_replica`` counts the replicas already in the store (one per
+    shard not marked ``continues``) and ``start_shard`` is one past its
+    largest shard index; both are 0 in a fresh directory.  Shard
+    ``start_shard + i*N + w`` holds window ``w`` (every window after the
+    first is marked ``continues``) and lands in collection round
+    ``round + w``.  A single-shot collect is the ``windows=1`` case
+    without checkpoints.
+
     ``append=True`` adds a new collection **round** to an existing
-    store: replica indices continue past the largest shard index
-    already on disk, so — replica streams being pure functions of
-    ``(seed, index)`` — collecting N replicas and appending M more with
-    the same seed produces byte-identical stream files to collecting
-    N+M in one go.  Each round records which shards it produced in a
-    ``round-<n>.json`` file at the store root (folded into one
-    ``index.json`` by :func:`repro.store.compact_store`).
+    store.  Replica streams being pure functions of ``(seed, index)``,
+    collecting N replicas and appending M more with the same seed
+    merges byte-identically to collecting N+M in one go, whichever
+    ``windows`` each round used.  Each round records which shards it
+    produced in a ``round-<n>.json`` file at the store root (folded
+    into one ``index.json`` by :func:`repro.store.compact_store`).
 
     ``codec`` selects the per-shard stream layout (``"jsonl"`` line
     files or the binary ``"columnar"`` struct-of-arrays layout); the
     simulated records are identical either way, only the on-disk
     encoding differs, and a store may mix codecs across rounds.
 
-    ``windows=N`` (or an explicit ``checkpoint_dir``) switches to
-    **windowed collection**: each replica is split into N shards —
-    shard ``r*N + w`` holds replica ``r``'s window ``w``, every window
-    after the first marked ``continues`` — and the replica's engine is
-    checkpointed into ``checkpoint_dir`` (default
+    ``windows > 1`` (or an explicit ``checkpoint_dir``) checkpoints
+    each replica's engine into ``checkpoint_dir`` (default
     ``<directory>/_checkpoints``) at every window boundary.  A worker
     killed mid-window is resumed from its last boundary by
     :func:`resume_fleet_collection` (``repro resume``); the finished
     store merges byte-identically to a single-shot collect of the same
-    spec.  Each window lands as its own collection round, so
+    spec.  Since each window is its own collection round,
     complete-rounds visibility gating exposes a consistent
     all-replicas-through-window-``w`` prefix while later windows are
     still running.
@@ -515,56 +496,29 @@ def collect_fleet_to_store(
             f"{directory} already holds a shard store; pass append=True "
             "to add a collection round (or choose a fresh directory)"
         )
-    if windows > 1 or checkpoint_dir is not None:
-        if checkpoint_dir is None:
-            checkpoint_dir = directory / CHECKPOINT_DIRNAME
-        replica_specs = [
-            replace(r, index=r.index + start_replica) for r in replica_specs
-        ]
-        tasks = [
-            WindowedTask(
-                replica=r,
-                directory=str(directory),
-                checkpoint_dir=str(checkpoint_dir),
-                n_windows=windows,
-                shard_base=start_shard + i * windows,
-                round_base=round_index,
-                compress=compress,
-                codec=codec,
-            )
-            for i, r in enumerate(replica_specs)
-        ]
-        save_fleet_plan(checkpoint_dir, directory, tasks)
-        return _run_windowed_tasks(directory, tasks, workers, on_shard)
-    replica_specs = [
-        replace(r, index=r.index + start_shard) for r in replica_specs
-    ]
+    if windows > 1 and checkpoint_dir is None:
+        checkpoint_dir = directory / CHECKPOINT_DIRNAME
+    if checkpoint_dir is not None:
+        checkpoint_dir = str(checkpoint_dir)
     tasks = [
-        ShardTask(
-            replica=r,
+        ReplicaTask(
+            replica=replace(r, index=r.index + start_replica),
             directory=str(directory),
+            checkpoint_dir=checkpoint_dir,
+            n_windows=windows,
+            shard_base=start_shard + i * windows,
+            round_base=round_index,
             compress=compress,
-            round=round_index,
             codec=codec,
         )
-        for r in replica_specs
+        for i, r in enumerate(replica_specs)
     ]
-    start = time.perf_counter()
-    manifests = run_sharded(
-        write_replica_shard, tasks, workers, on_result=on_shard
-    )
-    elapsed = time.perf_counter() - start
-    write_round_file(directory, round_index, [m.index for m in manifests])
-    return StoreFleetResult(
-        directory=directory,
-        manifests=manifests,
-        workers=workers,
-        elapsed_seconds=elapsed,
-        round=round_index,
-    )
+    if checkpoint_dir is not None:
+        save_fleet_plan(checkpoint_dir, directory, tasks)
+    return _run_tasks(directory, tasks, workers, on_shard)
 
 
-# -- windowed collection with engine checkpoints ------------------------------
+# -- the replica worker and its engine checkpoints ----------------------------
 
 #: Where a windowed collection keeps its checkpoints, inside the store.
 CHECKPOINT_DIRNAME = "_checkpoints"
@@ -579,19 +533,20 @@ def checkpoint_filename(replica_index: int) -> str:
 
 
 @dataclass(frozen=True)
-class WindowedTask:
+class ReplicaTask:
     """One worker's assignment: a replica split across N window shards.
 
     Windows ``0..n_windows-1`` land in shards ``shard_base + w`` (the
     coordinator allocates replica-major bases: replica ``r`` owns
     ``start + r*N .. start + r*N + N-1``) and rounds ``round_base + w``.
-    The worker checkpoints its engine into ``checkpoint_dir`` after each
-    window, so it resumes from the last completed boundary after a kill.
+    With a ``checkpoint_dir`` the worker checkpoints its engine there
+    after each window, so it resumes from the last completed boundary
+    after a kill; a single-shot collect is ``n_windows=1`` without one.
     """
 
     replica: ReplicaSpec
     directory: str
-    checkpoint_dir: str
+    checkpoint_dir: Optional[str]
     n_windows: int
     shard_base: int
     round_base: int = 0
@@ -599,36 +554,37 @@ class WindowedTask:
     codec: str = "jsonl"
 
 
-def _window_params(spec: ReplicaSpec, window: int, n_windows: int) -> dict:
-    params = replica_params(spec)
-    params["replica"] = spec.index
-    params["window"] = window
-    params["windows"] = n_windows
-    return params
+def write_replica(task: ReplicaTask) -> list[ShardManifest]:
+    """Worker entry point: simulate one replica straight onto disk.
 
+    The tracer streams every record into a :class:`ShardWriter` the
+    moment it is collected (``keep_records=False`` — only the sampled
+    spans are held until their window ends), so the worker's memory
+    stays bounded and only the window manifests are pickled back
+    through the pool.  Any shard directory already in the way is torn
+    output of a killed run and is deleted before its window is written.
 
-def write_windowed_replica(task: WindowedTask) -> list[ShardManifest]:
-    """Worker entry point: one replica streamed into N window shards.
-
-    Between windows the session's engine is checkpointed (replay recipe
-    + digests, see :meth:`ReplicaSession.checkpoint`) to
+    With a checkpoint directory, the session's engine is checkpointed
+    between windows (replay recipe + digests, see
+    :meth:`ReplicaSession.checkpoint`) to
     ``checkpoint_dir/replica-<idx>.json``.  Called again after a crash
     — directly or via :func:`resume_fleet_collection` — the worker
-    loads that checkpoint, deletes any torn shard directory the kill
-    left behind (a shard dir without its manifest, or one the stale
-    checkpoint predates), restores the session by deterministic replay,
-    and continues; determinism makes the rewritten shards byte-identical
+    loads that checkpoint, returns the manifests of the windows it
+    covers, restores the session by deterministic replay, and
+    continues; determinism makes the rewritten shards byte-identical
     to the uninterrupted run's.
     """
     spec = task.replica
     n_windows = task.n_windows
     directory = Path(task.directory)
-    ckpt_path = Path(task.checkpoint_dir) / checkpoint_filename(spec.index)
+    ckpt_path = None
+    if task.checkpoint_dir is not None:
+        ckpt_path = Path(task.checkpoint_dir) / checkpoint_filename(spec.index)
     manifests: list[ShardManifest] = []
     boundaries: list[float] = []
     windows_done = 0
     session: Optional[ReplicaSession] = None
-    if ckpt_path.exists():
+    if ckpt_path is not None and ckpt_path.exists():
         state = load_snapshot(ckpt_path)
         worker_meta = state.get("worker", {})
         windows_done = int(worker_meta.get("windows_done", 0))
@@ -659,7 +615,9 @@ def write_windowed_replica(task: WindowedTask) -> list[ShardManifest]:
             index=shard_index,
             app=spec.app,
             seed=spec.seed,
-            params=_window_params(spec, w, n_windows),
+            params=replica_params(
+                spec, None if ckpt_path is None else w, n_windows
+            ),
             compress=task.compress,
             round=task.round_base + w,
             codec=task.codec,
@@ -674,8 +632,8 @@ def write_windowed_replica(task: WindowedTask) -> list[ShardManifest]:
         session.tracer.flush_spans(final=final)
         session.tracer.sink = None
         previous = boundaries[-1] if boundaries else 0.0
-        # The absolute end of this window, with the duration semantics
-        # of the single-shot write_replica_shard.
+        # The absolute end of this window: simulated time for gfs, the
+        # latest record timestamp for webapp and mapreduce.
         boundary = _replica_duration(session, max(previous, writer.extent))
         boundaries.append(boundary)
         # Duration stays the per-window delta (so durations sum to the
@@ -684,6 +642,8 @@ def write_windowed_replica(task: WindowedTask) -> list[ShardManifest]:
         manifests.append(
             writer.finalize(boundary - previous, extent_floor=boundary)
         )
+        if ckpt_path is None:
+            continue
         state = session.checkpoint()
         state["worker"] = {
             "windows_done": w + 1,
@@ -696,7 +656,7 @@ def write_windowed_replica(task: WindowedTask) -> list[ShardManifest]:
 
 
 def save_fleet_plan(
-    checkpoint_dir: str | Path, directory: str | Path, tasks: Sequence[WindowedTask]
+    checkpoint_dir: str | Path, directory: str | Path, tasks: Sequence[ReplicaTask]
 ) -> Path:
     """Persist a windowed collection's plan so ``repro resume`` can rebuild it."""
     state = make_state(
@@ -708,17 +668,7 @@ def save_fleet_plan(
             "compress": bool(tasks[0].compress) if tasks else False,
             "codec": tasks[0].codec if tasks else "jsonl",
             "tasks": [
-                {
-                    "spec": {
-                        "app": t.replica.app,
-                        "index": t.replica.index,
-                        "seed": t.replica.seed,
-                        "n_requests": t.replica.n_requests,
-                        "arrival_rate": t.replica.arrival_rate,
-                        "sample_every": t.replica.sample_every,
-                    },
-                    "shard_base": t.shard_base,
-                }
+                {"spec": asdict(t.replica), "shard_base": t.shard_base}
                 for t in tasks
             ],
         },
@@ -728,7 +678,7 @@ def save_fleet_plan(
 
 def load_fleet_plan(
     checkpoint_dir: str | Path,
-) -> tuple[Path, list[WindowedTask]]:
+) -> tuple[Path, list[ReplicaTask]]:
     """Rebuild the store directory + task list from a saved fleet plan."""
     plan_path = Path(checkpoint_dir) / FLEET_PLAN_FILENAME
     if not plan_path.exists():
@@ -740,7 +690,7 @@ def load_fleet_plan(
     check_state(state, FLEET_PLAN_KIND)
     directory = Path(state["directory"])
     tasks = [
-        WindowedTask(
+        ReplicaTask(
             replica=ReplicaSpec(**entry["spec"]),
             directory=str(directory),
             checkpoint_dir=str(Path(checkpoint_dir)),
@@ -755,9 +705,9 @@ def load_fleet_plan(
     return directory, tasks
 
 
-def _run_windowed_tasks(
+def _run_tasks(
     directory: Path,
-    tasks: list[WindowedTask],
+    tasks: list[ReplicaTask],
     workers: int,
     on_shard: Optional[Callable[[int, ShardManifest], None]] = None,
 ) -> StoreFleetResult:
@@ -770,7 +720,7 @@ def _run_windowed_tasks(
 
     start = time.perf_counter()
     manifest_lists = run_sharded(
-        write_windowed_replica, tasks, workers, on_result=on_result
+        write_replica, tasks, workers, on_result=on_result
     )
     elapsed = time.perf_counter() - start
     n_windows = tasks[0].n_windows if tasks else 1
@@ -813,4 +763,4 @@ def resume_fleet_collection(
         # The store moved since the plan was written; trust the caller's
         # location and point the tasks at it.
         tasks = [replace(t, directory=str(directory)) for t in tasks]
-    return _run_windowed_tasks(directory, tasks, workers, on_shard)
+    return _run_tasks(directory, tasks, workers, on_shard)

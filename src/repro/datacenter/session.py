@@ -31,7 +31,7 @@ entire history and diverge only through their fork keys.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Mapping, Optional
 
 from ..queueing import PoissonArrivals
@@ -177,8 +177,8 @@ def build_mapreduce_session(
 class ReplicaSession:
     """One live, checkpointable replica of a standard fleet workload.
 
-    Built from a :class:`~repro.datacenter.fleet.ReplicaSpec` (or any
-    object with its fields).  The session is inert until driven:
+    Built from a :class:`~repro.datacenter.fleet.ReplicaSpec`.  The
+    session is inert until driven:
     :meth:`run`, :meth:`advance_progress` or :meth:`run_to_completion`
     step the engine; :meth:`checkpoint` may be called between any two
     steps.
@@ -266,18 +266,10 @@ class ReplicaSession:
 
     def checkpoint(self) -> dict[str, Any]:
         """A JSON-able replay recipe + validation digests for this moment."""
-        spec = self.spec
         return make_state(
             CHECKPOINT_KIND,
             {
-                "spec": {
-                    "app": spec.app,
-                    "index": spec.index,
-                    "seed": spec.seed,
-                    "n_requests": spec.n_requests,
-                    "arrival_rate": spec.arrival_rate,
-                    "sample_every": spec.sample_every,
-                },
+                "spec": asdict(self.spec),
                 "engine": engine_digest(self.env),
                 "rng": self.streams.state(),
                 "forks": [[steps, key] for steps, key in self._fork_history],

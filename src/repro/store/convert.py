@@ -107,12 +107,8 @@ def convert_flat_dump(
     is the source, and leave a directory mixing codecs otherwise.
     """
     from ..tracing.source import FlatTraceDump
-    from ..tracing.store import holds_stream_files, save_traces
+    from ..tracing.store import refuse_stream_files, save_traces
 
     dump = FlatTraceDump(source)
-    if holds_stream_files(destination):
-        raise FileExistsError(
-            f"{destination} already holds trace stream files; choose a "
-            "fresh directory"
-        )
+    refuse_stream_files(destination)
     return save_traces(dump, destination, compress=compress, codec=codec)

@@ -61,6 +61,7 @@ __all__ = [
     "open_trace_read",
     "open_trace_write",
     "record_lines",
+    "refuse_stream_files",
     "save_traces",
     "stream_header",
 ]
@@ -154,6 +155,19 @@ def holds_stream_files(directory: str | Path) -> bool:
         or find_columnar_stream(directory, stream) is not None
         for stream in STREAM_TYPES
     )
+
+
+def refuse_stream_files(directory: str | Path) -> None:
+    """Raise :class:`FileExistsError` if ``directory`` holds a stream file.
+
+    A flat dump written into such a directory would overwrite an older
+    dump, or sit next to one in the other codec.
+    """
+    if holds_stream_files(directory):
+        raise FileExistsError(
+            f"{directory} already holds trace stream files; choose a "
+            "fresh directory"
+        )
 
 
 def _is_header(data: dict) -> bool:

@@ -26,6 +26,7 @@ from repro.datacenter import (
     collect_fleet_to_store,
     resume_fleet_collection,
 )
+from repro.datacenter.fleet import CHECKPOINT_DIRNAME
 from repro.simulation import RandomStreams, engine_digest, verify_engine_digest
 from repro.snapshot import (
     SNAPSHOT_VERSION,
@@ -41,6 +42,7 @@ from repro.snapshot import (
 )
 from repro.stats.streaming import ReservoirQuantile
 from repro.store import ShardStore
+from repro.tracing import save_traces
 from repro.tracing.tracer import STREAM_NAMES
 
 APPS = ("gfs", "webapp", "mapreduce")
@@ -378,6 +380,41 @@ def test_windowed_append_continues_replica_numbering(tmp_path):
     assert len(windowed.manifests) == 6
     # Appended replica 2 reuses the same substream as single-shot replica 2.
     assert stream_dicts(windowed) == stream_dicts(flat)
+
+
+def test_single_shot_append_to_windowed_store_merges_like_one_collect(tmp_path):
+    # Replicas are numbered from the replicas already in the store, not
+    # from its shard count, whatever mode the earlier round used.
+    kwargs = dict(app="gfs", seed=7, n_requests=60)
+    mixed, flat = tmp_path / "mixed", tmp_path / "flat"
+    collect_fleet_to_store(directory=mixed, windows=2, replicas=2, **kwargs)
+    appended = collect_fleet_to_store(
+        directory=mixed, replicas=1, append=True, **kwargs
+    )
+    collect_fleet_to_store(directory=flat, replicas=3, **kwargs)
+    assert [m.index for m in appended.manifests] == [4]
+    assert "window" not in appended.manifests[0].params
+    save_traces(ShardStore(mixed), tmp_path / "merged-mixed")
+    save_traces(ShardStore(flat), tmp_path / "merged-flat")
+    names = sorted(p.name for p in (tmp_path / "merged-flat").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "merged-mixed").iterdir())
+    for name in names:
+        assert (tmp_path / "merged-mixed" / name).read_bytes() == (
+            tmp_path / "merged-flat" / name
+        ).read_bytes(), name
+
+
+def test_single_shot_collect_writes_no_checkpoint(tmp_path, monkeypatch):
+    import repro.datacenter.fleet as fleet
+
+    def no_checkpoint(self):
+        raise AssertionError("single-shot collect checkpointed its engine")
+
+    monkeypatch.setattr(fleet.ReplicaSession, "checkpoint", no_checkpoint)
+    collect_fleet_to_store(
+        directory=tmp_path, app="gfs", replicas=2, seed=7, n_requests=40
+    )
+    assert not (tmp_path / CHECKPOINT_DIRNAME).exists()
 
 
 # -- protocol conformance -----------------------------------------------------

@@ -497,6 +497,30 @@ def test_convert_refuses_a_destination_holding_streams(app_traces, tmp_path):
     assert _stream_files(tmp_path / "back") == before == _stream_files(flat)
 
 
+def test_merge_refuses_a_columnar_dump_destination(
+    codec_stores, app_traces, tmp_path
+):
+    taken = save_traces(app_traces["gfs"], tmp_path / "taken", codec="columnar")
+    before = _stream_files(taken)
+    with pytest.raises(SystemExit) as exc:
+        main(["merge", "--in", str(codec_stores["jsonl"]), "--out", str(taken)])
+    assert "already holds trace stream files" in str(exc.value.code)
+    assert _stream_files(taken) == before
+
+
+def test_merge_refuses_to_overwrite_an_earlier_merge(codec_stores, tmp_path):
+    merged = tmp_path / "merged"
+    assert main(["merge", "--in", str(codec_stores["jsonl"]), "--out", str(merged)]) == 0
+    before = _stream_files(merged)
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "merge", "--in", str(codec_stores["columnar"]), "--out", str(merged),
+            "--gzip",
+        ])
+    assert "already holds trace stream files" in str(exc.value.code)
+    assert _stream_files(merged) == before
+
+
 # -- determinism bugfix sweep ------------------------------------------------
 
 

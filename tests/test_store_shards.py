@@ -10,6 +10,7 @@ ones.
 
 import json
 import math
+import shutil
 
 import pytest
 
@@ -41,6 +42,7 @@ from repro.store import (
     max_span_id,
     offsets_for,
     save_per_class_models,
+    shard_dirname,
     trace_extent,
     train_per_class,
 )
@@ -201,6 +203,27 @@ def test_store_requires_manifests(tmp_path):
     with pytest.raises(FileNotFoundError):
         ShardStore(tmp_path)
     assert not is_shard_store(tmp_path)
+
+
+def test_collect_clears_a_torn_shard_directory(tmp_path):
+    # A collect that crashed before its manifest leaves a shard
+    # directory behind; the next collect replaces it instead of
+    # writing its streams next to the stale files.
+    kwargs = dict(app="gfs", replicas=1, seed=4, n_requests=30)
+    collect_fleet_to_store(directory=tmp_path / "clean", **kwargs)
+    collect_fleet_to_store(
+        directory=tmp_path / "columnar", codec="columnar", **kwargs
+    )
+    torn = tmp_path / "torn" / shard_dirname(0)
+    shutil.copytree(tmp_path / "columnar" / shard_dirname(0), torn)
+    (torn / "manifest.json").unlink()
+    collect_fleet_to_store(directory=tmp_path / "torn", **kwargs)
+
+    def files(root):
+        shard = root / shard_dirname(0)
+        return {p.name: p.read_bytes() for p in shard.iterdir()}
+
+    assert files(tmp_path / "torn") == files(tmp_path / "clean")
 
 
 # -- empty replicas ----------------------------------------------------------
@@ -549,3 +572,16 @@ def test_cli_sweep_collect_records_parameters(tmp_path, capsys):
     assert "2 shards" in capsys.readouterr().out
     groups = ShardStore(out).group_by("arrival_rate")
     assert set(groups) == {10.0, 40.0}
+
+
+def test_cli_append_reports_the_shard_indices_it_writes(tmp_path, capsys):
+    out = str(tmp_path / "store")
+    args = ["--app", "gfs", "--requests", "20", "--replicas", "2", "--out", out]
+    assert main(["collect", *args]) == 0
+    assert "shard 1 persisted" in capsys.readouterr().out
+    assert main(["append", *args]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == [
+        "shard 2 persisted",
+        "shard 3 persisted",
+    ]
