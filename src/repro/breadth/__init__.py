@@ -7,13 +7,17 @@ Sengupta) — plus the combined four-model workload generator used as
 the in-breadth baseline in the comparison benches.
 """
 
-from .combined import InBreadthWorkloadModel
-from .cpu import CpuUtilizationModel, utilization_series
-from .kcca import KccaModel, rbf_kernel
-from .memory import EchmmMemoryModel, MemoryAccessModel
-from .network import NetworkCharacterization, NetworkTrafficModel
-from .offload import CpuBreakdown, OffloadModel
-from .storage import StorageModel, StorageProfile, seek_distances
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".combined": ("InBreadthWorkloadModel",),
+    ".cpu": ("CpuUtilizationModel", "utilization_series"),
+    ".kcca": ("KccaModel", "rbf_kernel"),
+    ".memory": ("EchmmMemoryModel", "MemoryAccessModel"),
+    ".network": ("NetworkCharacterization", "NetworkTrafficModel"),
+    ".offload": ("CpuBreakdown", "OffloadModel"),
+    ".storage": ("StorageModel", "StorageProfile", "seek_distances"),
+})
 
 __all__ = [
     "CpuBreakdown",

@@ -48,8 +48,6 @@ import sys
 import threading
 from pathlib import Path
 
-import numpy as np
-
 __all__ = ["build_parser", "main"]
 
 
@@ -105,6 +103,8 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         run_webapp_workload,
         sweep_replica_specs,
     )
+    from .datacenter.fleet import UnfinishedCollectionError
+    from .snapshot import SnapshotError
     from .tracing import save_traces
 
     if args.replicas < 1:
@@ -172,7 +172,12 @@ def _cmd_collect(args: argparse.Namespace) -> int:
                 windows=args.windows,
                 checkpoint_dir=args.checkpoint_dir,
             )
-        except (FileExistsError, FileNotFoundError) as error:
+        except (
+            FileExistsError,
+            FileNotFoundError,
+            SnapshotError,
+            UnfinishedCollectionError,
+        ) as error:
             raise SystemExit(str(error))
         n_shards = len(result.manifests)
         n_replicas = sum(1 for m in result.manifests if not m.continues)
@@ -376,6 +381,8 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from .core import (
         KoozaTrainer,
         ReplayHarness,

@@ -13,40 +13,36 @@ Public API:
 * :data:`CAPABILITIES` — the Table 1 qualitative matrix.
 """
 
-from .capabilities import CAPABILITIES, Capability, capability_table
-from .dependency import DependencyQueue, mine_dependency_queue
-from .features import (
-    RequestFeatures,
-    extract_request_features,
-    request_feature_columns,
-)
-from .instances import (
-    MultiServerKooza,
-    split_traces_by_class,
-    split_traces_by_server,
-)
-from .model import KoozaConfig, KoozaModel, SubsystemCoupler
-from .profile import (
-    CpuSummary,
-    MemorySummary,
-    NetworkSummary,
-    RequestSummary,
-    StorageSummary,
-    WorkloadProfile,
-    WorkloadProfileBuilder,
-)
-from .replay import ReplayHarness
-from .serialize import load_model, model_from_dict, model_to_dict, save_model
-from .synthetic import Stage, SyntheticRequest
-from .trainer import InsufficientTrainingData, KoozaTrainer, read_training_input
-from .validation import (
-    ProfileComparison,
-    ProfileFeatureStats,
-    ValidationReport,
-    WorkloadFeatureStats,
-    compare_feature_stats,
-    compare_workloads,
-)
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".capabilities": ("CAPABILITIES", "Capability", "capability_table"),
+    ".dependency": ("DependencyQueue", "mine_dependency_queue"),
+    ".features": (
+        "RequestFeatures", "extract_request_features",
+        "request_feature_columns",
+    ),
+    ".instances": (
+        "MultiServerKooza", "split_traces_by_class", "split_traces_by_server",
+    ),
+    ".model": ("KoozaConfig", "KoozaModel", "SubsystemCoupler"),
+    ".profile": (
+        "CpuSummary", "MemorySummary", "NetworkSummary", "RequestSummary",
+        "StorageSummary", "WorkloadProfile", "WorkloadProfileBuilder",
+    ),
+    ".replay": ("ReplayHarness",),
+    ".serialize": (
+        "load_model", "model_from_dict", "model_to_dict", "save_model",
+    ),
+    ".synthetic": ("Stage", "SyntheticRequest"),
+    ".trainer": (
+        "InsufficientTrainingData", "KoozaTrainer", "read_training_input",
+    ),
+    ".validation": (
+        "ProfileComparison", "ProfileFeatureStats", "ValidationReport",
+        "WorkloadFeatureStats", "compare_feature_stats", "compare_workloads",
+    ),
+})
 
 __all__ = [
     "CAPABILITIES",

@@ -9,16 +9,18 @@ server's workload against its own simulated hardware.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..datacenter import MachineSpec
 from ..tracing import TraceSet
 from .model import KoozaConfig, KoozaModel
 from .replay import ReplayHarness
 from .trainer import KoozaTrainer
 from .validation import ValidationReport, compare_workloads
+
+if TYPE_CHECKING:
+    from ..datacenter.machine import MachineSpec
 
 __all__ = ["MultiServerKooza", "split_traces_by_class", "split_traces_by_server"]
 

@@ -36,6 +36,7 @@ from ..stats import (
     SeekStats,
     WindowedCounter,
     classify_utilization_pattern,
+    interarrival_cov,
 )
 from ..tracing import READ
 
@@ -464,8 +465,6 @@ class WorkloadProfileBuilder:
             )
         network = None
         if self.network_n >= 2:
-            from ..stats import interarrival_cov
-
             times = np.sort(self.network_times.array())
             span = float(times[-1] - times[0])
             gaps = np.diff(times)

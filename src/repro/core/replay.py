@@ -10,12 +10,16 @@ original one — features *and* end-to-end latency.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..simulation import Environment, RandomStreams
 from ..tracing import RequestRecord, Tracer, TraceSet
-from ..datacenter import Machine, MachineSpec
 from .synthetic import SyntheticRequest
+
+if TYPE_CHECKING:
+    # The device models load when a harness is built, not with the
+    # model stack: training and characterizing never replay.
+    from ..datacenter.machine import Machine, MachineSpec
 
 __all__ = ["ReplayHarness"]
 
@@ -30,6 +34,8 @@ class ReplayHarness:
         n_servers: int = 1,
         max_io_bytes: int = 4 << 20,
     ):
+        from ..datacenter.machine import MachineSpec
+
         if n_servers < 1:
             raise ValueError(f"need >= 1 server, got {n_servers}")
         self.machine_spec = machine_spec or MachineSpec()
@@ -41,6 +47,8 @@ class ReplayHarness:
 
     def replay(self, requests: Sequence[SyntheticRequest]) -> TraceSet:
         """Run the workload to completion; returns the replay traces."""
+        from ..datacenter.machine import Machine
+
         if not requests:
             raise ValueError("no synthetic requests to replay")
         env = Environment()

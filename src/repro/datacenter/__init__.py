@@ -6,41 +6,35 @@ Figure 1 workload), a 3-tier web application (the in-depth baseline's
 native workload) and a MapReduce-like batch framework.
 """
 
-from .dvfs import (
-    DvfsPolicyResult,
-    DvfsSetting,
-    evaluate_dvfs_policy,
-    model_guided_policy,
-)
-from .failures import DiskFault, FaultInjector
-from .gfs import GfsCluster, GfsRequest, GfsSpec
-from .machine import Machine, MachineSpec
-from .mapreduce import JobResult, MapReduceCluster, MapReduceJob, MapReduceSpec
-from .power import EnergyReport, MachinePowerSpec, PowerModel
-from .fleet import (
-    FleetResult,
-    FleetSpec,
-    ReplicaResult,
-    ReplicaSpec,
-    StoreFleetResult,
-    collect_fleet,
-    collect_fleet_to_store,
-    collect_replicas,
-    merge_replicas,
-    resume_fleet_collection,
-    run_replica,
-    sweep_grid,
-    sweep_replica_specs,
-)
-from .session import ReplicaSession
-from .run import (
-    GfsRun,
-    default_mapreduce_jobs,
-    run_gfs_workload,
-    run_mapreduce_jobs,
-    run_webapp_workload,
-)
-from .webapp import WebAppCluster, WebAppSpec, WebRequest, WebRequestClass
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".dvfs": (
+        "DvfsPolicyResult", "DvfsSetting", "evaluate_dvfs_policy",
+        "model_guided_policy",
+    ),
+    ".failures": ("DiskFault", "FaultInjector"),
+    ".gfs": ("GfsCluster", "GfsRequest", "GfsSpec"),
+    ".machine": ("Machine", "MachineSpec"),
+    ".mapreduce": (
+        "JobResult", "MapReduceCluster", "MapReduceJob", "MapReduceSpec",
+    ),
+    ".power": ("EnergyReport", "MachinePowerSpec", "PowerModel"),
+    ".fleet": (
+        "FleetResult", "FleetSpec", "ReplicaResult", "ReplicaSpec",
+        "StoreFleetResult", "collect_fleet", "collect_fleet_to_store",
+        "collect_replicas", "merge_replicas", "resume_fleet_collection",
+        "run_replica", "sweep_grid", "sweep_replica_specs",
+    ),
+    ".session": ("ReplicaSession",),
+    ".run": (
+        "GfsRun", "default_mapreduce_jobs", "run_gfs_workload",
+        "run_mapreduce_jobs", "run_webapp_workload",
+    ),
+    ".webapp": (
+        "WebAppCluster", "WebAppSpec", "WebRequest", "WebRequestClass",
+    ),
+})
 
 __all__ = [
     "DiskFault",

@@ -42,7 +42,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 from ..simulation import run_sharded
 from ..snapshot import check_state, load_snapshot, make_state, save_snapshot
-from ..store.manifest import ShardManifest, write_round_file
+from ..store.manifest import MANIFEST_FILENAME, ShardManifest, write_round_file
 from ..store.stitch import (
     accumulate_offsets,
     max_request_id,
@@ -449,6 +449,11 @@ def collect_fleet_to_store(
     simulated records are identical either way, only the on-disk
     encoding differs, and a store may mix codecs across rounds.
 
+    An append refuses (:class:`UnfinishedCollectionError`, before it
+    writes anything) while the fleet plan it would replace, in
+    ``checkpoint_dir`` or ``<directory>/_checkpoints``, still lacks a
+    shard: only ``repro resume`` can finish that round.
+
     ``windows > 1`` (or an explicit ``checkpoint_dir``) checkpoints
     each replica's engine into ``checkpoint_dir`` (default
     ``<directory>/_checkpoints``) at every window boundary.  A worker
@@ -491,6 +496,9 @@ def collect_fleet_to_store(
         # of replicas already collected — one per non-continuation shard —
         # not from the shard count, which windowed rounds inflate.
         start_replica = sum(1 for m in manifests_on_disk if not m.continues)
+        _refuse_unfinished_plan(
+            directory, checkpoint_dir or directory / CHECKPOINT_DIRNAME
+        )
     elif existing:
         raise FileExistsError(
             f"{directory} already holds a shard store; pass append=True "
@@ -587,14 +595,19 @@ def write_replica(task: ReplicaTask) -> list[ShardManifest]:
     if ckpt_path is not None and ckpt_path.exists():
         state = load_snapshot(ckpt_path)
         worker_meta = state.get("worker", {})
-        windows_done = int(worker_meta.get("windows_done", 0))
-        boundaries = [float(b) for b in worker_meta.get("boundaries", [])]
-        for w in range(windows_done):
-            manifests.append(
-                ShardManifest.load(directory / shard_dirname(task.shard_base + w))
-            )
-        if windows_done < n_windows:
-            session = ReplicaSession.restore(state, keep_records=False)
+        done = [
+            directory / shard_dirname(task.shard_base + w)
+            for w in range(int(worker_meta.get("windows_done", 0)))
+        ]
+        # A window shard that lost its manifest after the checkpoint
+        # cannot be restored from it: re-simulate the replica from its
+        # start, which rewrites every one of its shards byte-identically.
+        if all((shard / MANIFEST_FILENAME).exists() for shard in done):
+            windows_done = len(done)
+            boundaries = [float(b) for b in worker_meta.get("boundaries", [])]
+            manifests = [ShardManifest.load(shard) for shard in done]
+            if windows_done < n_windows:
+                session = ReplicaSession.restore(state, keep_records=False)
     if session is None and windows_done < n_windows:
         session = ReplicaSession(
             spec,
@@ -674,6 +687,28 @@ def save_fleet_plan(
         },
     )
     return save_snapshot(state, Path(checkpoint_dir) / FLEET_PLAN_FILENAME)
+
+
+class UnfinishedCollectionError(RuntimeError):
+    """An append would replace the plan of a windowed collection that
+    has not finished, so ``repro resume`` could no longer finish it."""
+
+
+def _refuse_unfinished_plan(directory: Path, checkpoint_dir: str | Path) -> None:
+    """Raise unless the saved fleet plan in ``checkpoint_dir``, if any,
+    has every one of its shards' manifests in ``directory``."""
+    if not (Path(checkpoint_dir) / FLEET_PLAN_FILENAME).exists():
+        return
+    _, tasks = load_fleet_plan(checkpoint_dir)
+    for task in tasks:
+        for w in range(task.n_windows):
+            shard = task.shard_base + w
+            if not (directory / shard_dirname(shard) / MANIFEST_FILENAME).exists():
+                raise UnfinishedCollectionError(
+                    f"{directory} holds an unfinished windowed collection "
+                    f"(shard {shard} has no manifest); finish it with "
+                    f"`repro resume --out {directory}` before appending"
+                )
 
 
 def load_fleet_plan(

@@ -5,10 +5,14 @@ model the flow as a queueing network (Liu et al., Kamra et al.), with
 Dapper-style span traces as the training input.
 """
 
-from .admission import AdmissionController, AdmissionStats
-from .anomaly import AnomalyDetector, AnomalyVerdict, StageProfile
-from .model import InDepthModel
-from .sqs import SqsEvaluator, SqsResult, SqsWorkloadModel
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".admission": ("AdmissionController", "AdmissionStats"),
+    ".anomaly": ("AnomalyDetector", "AnomalyVerdict", "StageProfile"),
+    ".model": ("InDepthModel",),
+    ".sqs": ("SqsEvaluator", "SqsResult", "SqsWorkloadModel"),
+})
 
 __all__ = [
     "AdmissionController",

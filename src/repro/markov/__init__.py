@@ -6,11 +6,15 @@ hierarchical two-level chains (the paper's configurable-detail
 substitution), and the Gaussian HMM used by the ECHMM memory baseline.
 """
 
-from .chain import MarkovChain
-from .discretize import QuantileDiscretizer
-from .hierarchical import HierarchicalMarkovChain
-from .higher_order import HigherOrderMarkovChain
-from .hmm import GaussianHMM
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".chain": ("MarkovChain",),
+    ".discretize": ("QuantileDiscretizer",),
+    ".hierarchical": ("HierarchicalMarkovChain",),
+    ".higher_order": ("HigherOrderMarkovChain",),
+    ".hmm": ("GaussianHMM",),
+})
 
 __all__ = [
     "GaussianHMM",

@@ -7,51 +7,37 @@ multi-station queueing-network simulator — the machinery of the
 in-depth modeling baseline.
 """
 
-from .analytic import (
-    MG1,
-    MG1_saturating,
-    MM1,
-    MM1_saturating,
-    MMc,
-    MMc_saturating,
-    QueueMetrics,
-    erlang_c,
-    erlang_c_saturating,
-    saturated_metrics,
-)
-from .arrivals import (
-    ArrivalProcess,
-    BModelArrivals,
-    DeterministicArrivals,
-    DistributionArrivals,
-    EmpiricalArrivals,
-    MMPPArrivals,
-    PoissonArrivals,
-)
-from .autocorrelated import CopulaArrivals, fit_ar_coefficients
-from .fitting import CANDIDATE_FAMILIES, FittedDistribution, fit_distribution
-from .lqn import Activity, LqnResult, LqnSimulator, LqnTask
-from .mva import (
-    AnalyticStation,
-    JacksonSolution,
-    MvaSolution,
-    solve_jackson,
-    solve_jackson_saturating,
-    solve_mva,
-)
-from .network import NetworkResult, QueueingNetwork, Station, StationVisit
-from .plan import (
-    CapacityPlan,
-    ClassDemand,
-    ClusterModel,
-    PlanPoint,
-    ValidationPoint,
-    cross_validate,
-    fit_cluster_model,
-    parse_multipliers,
-    plan_sweep,
-    solve_point,
-)
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".analytic": (
+        "MG1", "MG1_saturating", "MM1", "MM1_saturating", "MMc",
+        "MMc_saturating", "QueueMetrics", "erlang_c", "erlang_c_saturating",
+        "saturated_metrics",
+    ),
+    ".arrivals": (
+        "ArrivalProcess", "BModelArrivals", "DeterministicArrivals",
+        "DistributionArrivals", "EmpiricalArrivals", "MMPPArrivals",
+        "PoissonArrivals",
+    ),
+    ".autocorrelated": ("CopulaArrivals", "fit_ar_coefficients"),
+    ".fitting": (
+        "CANDIDATE_FAMILIES", "FittedDistribution", "fit_distribution",
+    ),
+    ".lqn": ("Activity", "LqnResult", "LqnSimulator", "LqnTask"),
+    ".mva": (
+        "AnalyticStation", "JacksonSolution", "MvaSolution", "solve_jackson",
+        "solve_jackson_saturating", "solve_mva",
+    ),
+    ".network": (
+        "NetworkResult", "QueueingNetwork", "Station", "StationVisit",
+    ),
+    ".plan": (
+        "CapacityPlan", "ClassDemand", "ClusterModel", "PlanPoint",
+        "ValidationPoint", "cross_validate", "fit_cluster_model",
+        "parse_multipliers", "plan_sweep", "solve_point",
+    ),
+})
 
 __all__ = [
     "Activity",

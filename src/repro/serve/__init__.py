@@ -10,21 +10,26 @@ keeps resident streaming accumulators equal to a batch re-analysis
 metrics endpoints over HTTP.  See ``docs/serving.md``.
 """
 
-from .daemon import ServeConfig, ServeDaemon, ServeError
-from .drift import Alarm, DriftBaseline, DriftMonitor, DriftReport, DriftThresholds
-from .ingest import IngestError, IngestServer, IngestSink
-from .metrics import Counter, Gauge, MetricsRegistry, parse_exposition
 # Quiet compatibility alias: the canonical constant is
 # repro.snapshot.SNAPSHOT_VERSION (the repro.serve.state attribute of the
 # old name still works but warns).
 from ..snapshot import SNAPSHOT_VERSION as SERVE_STATE_VERSION
-from .state import (
-    SERVE_STATE_FORMAT,
-    FoldedShard,
-    ResidentAnalysis,
-    ServeState,
-)
-from .watcher import PollResult, StoreWatcher
+
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".daemon": ("ServeConfig", "ServeDaemon", "ServeError"),
+    ".drift": (
+        "Alarm", "DriftBaseline", "DriftMonitor", "DriftReport",
+        "DriftThresholds",
+    ),
+    ".ingest": ("IngestError", "IngestServer", "IngestSink"),
+    ".metrics": ("Counter", "Gauge", "MetricsRegistry", "parse_exposition"),
+    ".state": (
+        "SERVE_STATE_FORMAT", "FoldedShard", "ResidentAnalysis", "ServeState",
+    ),
+    ".watcher": ("PollResult", "StoreWatcher"),
+})
 
 __all__ = [
     "Alarm",

@@ -7,20 +7,18 @@ A compact generator-based simulation kernel (:class:`Environment`,
 in :mod:`repro.datacenter` run on this engine.
 """
 
-from .checkpoint import engine_digest, verify_engine_digest
-from .engine import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Timeout,
-)
-from .parallel import available_workers, resolve_workers, run_sharded
-from .resources import Request, Resource, Store, UtilizationMeter
-from .rng import RandomStreams
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".checkpoint": ("engine_digest", "verify_engine_digest"),
+    ".engine": (
+        "AllOf", "AnyOf", "Environment", "Event", "Interrupt", "Process",
+        "SimulationError", "Timeout",
+    ),
+    ".parallel": ("available_workers", "resolve_workers", "run_sharded"),
+    ".resources": ("Request", "Resource", "Store", "UtilizationMeter"),
+    ".rng": ("RandomStreams",),
+})
 
 __all__ = [
     "AllOf",

@@ -7,49 +7,41 @@ utilization-pattern classification, PCA, k-means / Gaussian-mixture
 clustering with BIC selection, VU-list histograms, and sampling.
 """
 
-from .burstiness import (
-    index_of_dispersion,
-    interarrival_cov,
-    peak_to_mean,
-    stationarity_pvalue,
-)
-from .clustering import GaussianMixture, KMeans, select_components_bic
-from .correlation import (
-    acf,
-    classify_utilization_pattern,
-    cross_correlation,
-    dominant_period,
-)
-from .distributions import (
-    SampleSummary,
-    hill_estimator,
-    ks_distance,
-    ks_two_sample,
-    summarize,
-)
-from .histogram import VUList
-from .pca import PCA
-from .regression import LinearRegression
-from .sampling import reservoir_sample, systematic_sample
-from .selfsim import arrivals_to_counts, hurst_aggregated_variance, hurst_rs
-
 # Quiet compatibility alias: the canonical constant is
 # repro.snapshot.SNAPSHOT_VERSION (the repro.stats.streaming attribute of
 # the old name still works but warns).
 from ..snapshot import SNAPSHOT_VERSION as STREAMING_STATE_VERSION
-from .streaming import (
-    CategoricalCounter,
-    CoMomentsAccumulator,
-    ExactQuantiles,
-    FixedHistogram,
-    InterarrivalStats,
-    MomentsAccumulator,
-    P2Quantile,
-    ReservoirQuantile,
-    SeekStats,
-    SlidingWindowCounter,
-    WindowedCounter,
-)
+
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".burstiness": (
+        "index_of_dispersion", "interarrival_cov", "peak_to_mean",
+        "stationarity_pvalue",
+    ),
+    ".clustering": ("GaussianMixture", "KMeans", "select_components_bic"),
+    ".correlation": (
+        "acf", "classify_utilization_pattern", "cross_correlation",
+        "dominant_period",
+    ),
+    ".distributions": (
+        "SampleSummary", "hill_estimator", "ks_distance", "ks_two_sample",
+        "summarize",
+    ),
+    ".histogram": ("VUList",),
+    ".pca": ("PCA",),
+    ".regression": ("LinearRegression",),
+    ".sampling": ("reservoir_sample", "systematic_sample"),
+    ".selfsim": (
+        "arrivals_to_counts", "hurst_aggregated_variance", "hurst_rs",
+    ),
+    ".streaming": (
+        "CategoricalCounter", "CoMomentsAccumulator", "ExactQuantiles",
+        "FixedHistogram", "InterarrivalStats", "MomentsAccumulator",
+        "P2Quantile", "ReservoirQuantile", "SeekStats", "SlidingWindowCounter",
+        "WindowedCounter",
+    ),
+})
 
 __all__ = [
     "CategoricalCounter",

@@ -12,6 +12,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
+# numpy loads np.fft on first use; load it with this module, so the
+# serve daemon's first profile render is not where it happens.
+import numpy.fft  # noqa: F401
 
 __all__ = [
     "acf",

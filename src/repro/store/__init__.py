@@ -9,68 +9,43 @@ into the same monotonic timeline the in-memory merge produces, and
 its request classes.
 
 Import order note: submodules import only :mod:`repro.tracing` and
-:mod:`repro.simulation` at module level; :mod:`repro.core` (which pulls
-in :mod:`repro.datacenter`, which imports this package) is deferred to
-call time inside :mod:`repro.store.training`.
+:mod:`repro.simulation` at module level; :mod:`repro.core` is imported
+at call time, so reading, merging and verifying a store loads no model
+code.
 """
 
-from .cache import (
-    CACHE_DIRNAME,
-    analysis_key,
-    combine_hashes,
-    hash_file,
-    load_analysis_cache,
-    save_analysis_cache,
-    shard_content_hash,
-    shard_stream_hashes,
-    stream_content_hash,
-)
-from .convert import convert_flat_dump, convert_store
-from .manifest import (
-    MANIFEST_FILENAME,
-    SHARD_CODECS,
-    SHARD_FORMAT,
-    SHARD_VERSION,
-    STORE_INDEX_FILENAME,
-    ShardManifest,
-    StoreIndex,
-    compact_store,
-    load_store_index,
-    load_store_rounds,
-    parse_shard_index,
-    round_filename,
-    shard_manifest_paths,
-    write_round_file,
-)
-from .shards import ShardStore, is_shard_store, shifter_for
-from .watch import StoreSnapshot, take_snapshot
-from .stitch import (
-    StitchOffsets,
-    accumulate_offsets,
-    max_request_id,
-    max_span_id,
-    offsets_for,
-    trace_extent,
-)
-from .writer import ShardWriter, shard_dirname
-from .training import (
-    PerClassFit,
-    load_per_class_models,
-    save_per_class_models,
-    train_per_class,
-)
-from .analyze import (
-    ClassReport,
-    PerClassValidation,
-    ShardAnalysisTask,
-    SourceAnalysis,
-    analyze_shard,
-    analyze_source,
-    characterize_source,
-    class_rng,
-    class_seed,
-    validate_per_class,
-)
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".cache": (
+        "CACHE_DIRNAME", "analysis_key", "combine_hashes", "hash_file",
+        "load_analysis_cache", "save_analysis_cache", "shard_content_hash",
+        "shard_stream_hashes", "stream_content_hash",
+    ),
+    ".convert": ("convert_flat_dump", "convert_store"),
+    ".manifest": (
+        "MANIFEST_FILENAME", "SHARD_CODECS", "SHARD_FORMAT", "SHARD_VERSION",
+        "STORE_INDEX_FILENAME", "ShardManifest", "StoreIndex", "compact_store",
+        "load_store_index", "load_store_rounds", "parse_shard_index",
+        "round_filename", "shard_manifest_paths", "write_round_file",
+    ),
+    ".shards": ("ShardStore", "is_shard_store", "shifter_for"),
+    ".watch": ("StoreSnapshot", "take_snapshot"),
+    ".stitch": (
+        "StitchOffsets", "accumulate_offsets", "max_request_id", "max_span_id",
+        "offsets_for", "trace_extent",
+    ),
+    ".writer": ("ShardWriter", "shard_dirname"),
+    ".training": (
+        "PerClassFit", "load_per_class_models", "save_per_class_models",
+        "train_per_class",
+    ),
+    ".analyze": (
+        "ClassReport", "PerClassValidation", "ShardAnalysisTask",
+        "SourceAnalysis", "analyze_shard", "analyze_source",
+        "characterize_source", "class_rng", "class_seed", "validate_per_class",
+    ),
+})
 
 __all__ = [
     "CACHE_DIRNAME",

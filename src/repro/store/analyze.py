@@ -23,9 +23,9 @@ class against the streamed original statistics, and additionally
 reports the cross-class mix: the union of all per-class synthetics
 against the whole original workload.
 
-``repro.core`` is imported lazily inside functions: the core package
-pulls in :mod:`repro.datacenter`, whose fleet module imports this
-package — a module-level import here would close that cycle.
+The model stack (``repro.core``'s trainer, model and replay) is
+imported inside the functions that fit or replay, so characterizing a
+store never loads it.
 """
 
 from __future__ import annotations
@@ -34,12 +34,20 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ..core.features import FEATURE_COLUMNS, request_feature_columns
+from ..core.profile import WorkloadProfile, WorkloadProfileBuilder
+from ..core.validation import (
+    ValidationReport,
+    WorkloadFeatureStats,
+    compare_feature_stats,
+)
 from ..simulation import run_sharded
-from ..tracing import TraceSource
+from ..tracing import TraceSource, load_traces, source_columns
+from ..tracing.columnar import shift_columns, take_columns
 from ..tracing.store import STREAM_TYPES
 from .cache import (
     analysis_key,
@@ -49,14 +57,6 @@ from .cache import (
 )
 from .shards import ShardStore
 from .stitch import StitchOffsets
-
-if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from ..core import (
-        ValidationReport,
-        WorkloadFeatureStats,
-        WorkloadProfile,
-        WorkloadProfileBuilder,
-    )
 
 __all__ = [
     "AnalysisReducer",
@@ -140,14 +140,6 @@ def _fold_columns(
     flat dump, in-memory ``TraceSet`` — is analyzed from the identical
     arrays.
     """
-    from ..core import (
-        WorkloadFeatureStats,
-        WorkloadProfileBuilder,
-        request_feature_columns,
-    )
-    from ..core.features import FEATURE_COLUMNS
-    from ..tracing.columnar import shift_columns, take_columns
-
     builder = WorkloadProfileBuilder(
         window=window, cores=cores, max_quantile_values=max_quantile_values
     )
@@ -292,8 +284,6 @@ class AnalysisReducer:
         cores: int = 8,
         max_quantile_values: Optional[int] = None,
     ):
-        from ..core import WorkloadFeatureStats, WorkloadProfileBuilder
-
         self.window = window
         self.cores = cores
         self.max_quantile_values = max_quantile_values
@@ -344,8 +334,6 @@ class AnalysisReducer:
 
     @classmethod
     def from_state(cls, state: Mapping[str, Any]) -> "AnalysisReducer":
-        from ..core import WorkloadFeatureStats, WorkloadProfileBuilder
-
         max_quantile_values = state.get("max_quantile_values")
         reducer = cls(
             window=float(state["window"]),
@@ -379,8 +367,6 @@ def reduce_source(
     with zero stitch offsets.  Parameters as :func:`analyze_source`.
     """
     if isinstance(source, (str, Path)):
-        from ..tracing import load_traces
-
         source = load_traces(source)
     reducer = AnalysisReducer(window, cores, max_quantile_values)
     if isinstance(source, ShardStore):
@@ -392,8 +378,6 @@ def reduce_source(
             source.directory, shards, reducer.params, workers, cache
         )
     else:
-        from ..tracing import source_columns
-
         results = [
             _fold_columns(
                 lambda stream, names: source_columns(source, stream, names),
@@ -578,12 +562,10 @@ def validate_per_class(
     sources (see :func:`analyze_source` and
     :func:`repro.store.training.train_per_class`).
     """
-    from ..core import ReplayHarness, WorkloadFeatureStats, compare_feature_stats
+    from ..core.replay import ReplayHarness
 
     start = time.perf_counter()
     if isinstance(source, (str, Path)):
-        from ..tracing import load_traces
-
         source = load_traces(source)
     if analysis is None:
         analysis = analyze_source(

@@ -18,9 +18,8 @@ touch no memory model) or no sampled trace tree — raises a typed
 :class:`~repro.core.InsufficientTrainingData` and is skipped the same
 way, without aborting the others.
 
-``repro.core`` is imported lazily inside functions: the core package
-pulls in :mod:`repro.datacenter`, whose fleet module imports this
-package — a module-level import here would close that cycle.
+``repro.core`` is imported inside functions, so a command that only
+reads, merges or verifies a store never loads the model code.
 """
 
 from __future__ import annotations

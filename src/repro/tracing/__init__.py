@@ -5,33 +5,28 @@ machinery for in-depth request tracing, the :class:`Tracer` that the
 simulated datacenter is instrumented with, and JSONL persistence.
 """
 
-from .adapters import (
-    read_cluster_jobs,
-    read_spc_trace,
-    write_cluster_jobs,
-    write_spc_trace,
-)
-from .profiler import ClusterProfiler, ProfileSample
-from .records import (
-    READ,
-    WRITE,
-    CpuRecord,
-    MemoryRecord,
-    NetworkRecord,
-    RequestRecord,
-    StorageRecord,
-)
-from .span import Annotation, Span, TraceTree, build_trace_trees
-from .source import FlatTraceDump, TraceSource, as_trace_set, source_columns
-from .store import STREAM_TYPES, load_traces, save_traces
-from .tracer import (
-    STREAM_NAMES,
-    Tracer,
-    TraceSet,
-    shift_request,
-    shift_span,
-    shift_subsystem_record,
-)
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".adapters": (
+        "read_cluster_jobs", "read_spc_trace", "write_cluster_jobs",
+        "write_spc_trace",
+    ),
+    ".profiler": ("ClusterProfiler", "ProfileSample"),
+    ".records": (
+        "READ", "WRITE", "CpuRecord", "MemoryRecord", "NetworkRecord",
+        "RequestRecord", "StorageRecord",
+    ),
+    ".span": ("Annotation", "Span", "TraceTree", "build_trace_trees"),
+    ".source": (
+        "FlatTraceDump", "TraceSource", "as_trace_set", "source_columns",
+    ),
+    ".store": ("STREAM_TYPES", "load_traces", "save_traces"),
+    ".tracer": (
+        "STREAM_NAMES", "Tracer", "TraceSet", "shift_request", "shift_span",
+        "shift_subsystem_record",
+    ),
+})
 
 __all__ = [
     "Annotation",

@@ -4,17 +4,17 @@ Request-class mixes (including the paper's Table 2 workload), open- and
 closed-loop clients, and the SURGE user-equivalent model.
 """
 
-from .clients import ClosedLoopClient, OpenLoopClient
-from .mixes import (
-    FileAccessPattern,
-    RequestClass,
-    WorkloadMix,
-    oltp_mix,
-    table2_mix,
-    web_serving_mix,
-)
-from .mediasyn import MediaSession, MediSynSpec, MediSynWorkload
-from .surge import SurgeSpec, SurgeWorkload
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".clients": ("ClosedLoopClient", "OpenLoopClient"),
+    ".mixes": (
+        "FileAccessPattern", "RequestClass", "WorkloadMix", "oltp_mix",
+        "table2_mix", "web_serving_mix",
+    ),
+    ".mediasyn": ("MediaSession", "MediSynSpec", "MediSynWorkload"),
+    ".surge": ("SurgeSpec", "SurgeWorkload"),
+})
 
 __all__ = [
     "ClosedLoopClient",

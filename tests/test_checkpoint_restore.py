@@ -26,7 +26,8 @@ from repro.datacenter import (
     collect_fleet_to_store,
     resume_fleet_collection,
 )
-from repro.datacenter.fleet import CHECKPOINT_DIRNAME
+from repro.cli import main
+from repro.datacenter.fleet import CHECKPOINT_DIRNAME, UnfinishedCollectionError
 from repro.simulation import RandomStreams, engine_digest, verify_engine_digest
 from repro.snapshot import (
     SNAPSHOT_VERSION,
@@ -41,7 +42,7 @@ from repro.snapshot import (
     save_snapshot,
 )
 from repro.stats.streaming import ReservoirQuantile
-from repro.store import ShardStore
+from repro.store import MANIFEST_FILENAME, ShardStore, shard_dirname
 from repro.tracing import save_traces
 from repro.tracing.tracer import STREAM_NAMES
 
@@ -402,6 +403,37 @@ def test_single_shot_append_to_windowed_store_merges_like_one_collect(tmp_path):
         assert (tmp_path / "merged-mixed" / name).read_bytes() == (
             tmp_path / "merged-flat" / name
         ).read_bytes(), name
+
+
+def test_append_refuses_to_orphan_an_unfinished_windowed_round(tmp_path, capsys):
+    store = tmp_path / "store"
+    args = ["--app", "gfs", "--seed", "7", "--requests", "60", "--windows", "2"]
+    assert main(["collect", *args, "--replicas", "2", "--out", str(store)]) == 0
+    # The last window of the last replica never finished.
+    (store / shard_dirname(3) / MANIFEST_FILENAME).unlink()
+    before = {
+        p: p.read_bytes() for p in sorted(store.rglob("*")) if p.is_file()
+    }
+    with pytest.raises(UnfinishedCollectionError, match="shard 3"):
+        collect_fleet_to_store(directory=store, append=True, windows=2,
+                               app="gfs", seed=7, n_requests=60, replicas=1)
+    capsys.readouterr()
+    for windows in ("2", "1"):
+        argv = ["append", *args[:-1], windows, "--replicas", "1", "--out", str(store)]
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        message = str(refused.value.code)
+        assert "repro resume" in message and "\n" not in message
+    assert capsys.readouterr().out == ""
+    assert {
+        p: p.read_bytes() for p in sorted(store.rglob("*")) if p.is_file()
+    } == before
+
+    assert main(["resume", "--out", str(store)]) == 0
+    assert main(["append", *args, "--replicas", "1", "--out", str(store)]) == 0
+    reference = tmp_path / "reference"
+    assert main(["collect", *args, "--replicas", "3", "--out", str(reference)]) == 0
+    assert stream_dicts(ShardStore(store)) == stream_dicts(ShardStore(reference))
 
 
 def test_single_shot_collect_writes_no_checkpoint(tmp_path, monkeypatch):
