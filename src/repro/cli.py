@@ -524,6 +524,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         plan_sweep,
         validation_table,
     )
+    from .store import ShardStore, load_per_class_models
 
     path = _input_path(args, "source")
     try:
@@ -534,54 +535,31 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     except ValueError as error:
         raise SystemExit(str(error))
     customers = args.customers if args.solver == "mva" else None
-    spec = None
-    if Path(path).is_dir():
-        from .store import ShardStore, load_per_class_models
-
-        source = _open_source(path)
-        use_cache = args.cache and isinstance(source, ShardStore)
-        models = None
-        if args.model is not None:
-            try:
-                models = load_per_class_models(args.model)
-            except (OSError, ValueError) as error:
-                raise SystemExit(f"cannot load model {args.model}: {error}")
+    source = _open_source(path) if Path(path).is_dir() else None
+    model_path = args.model if source is not None else path
+    models = None
+    if model_path is not None:
         try:
-            cluster = fit_cluster_model(
-                source,
-                models=models,
-                base_rate=args.rate,
-                seed=args.seed,
-                max_per_class=args.max_per_class,
-                workers=args.workers,
-                cache=use_cache,
-            )
-        except ValueError as error:
-            raise SystemExit(str(error))
-        if validate_at:
-            spec = _plan_validation_spec(args, source)
-    else:
-        from .store import load_per_class_models
-
-        try:
-            models = load_per_class_models(path)
+            models = load_per_class_models(model_path)
         except (OSError, ValueError) as error:
-            raise SystemExit(f"cannot load model {path}: {error}")
-        if args.rate is None:
-            raise SystemExit(
-                "a bare model file carries no arrival rates; pass --rate"
-            )
-        try:
-            cluster = fit_cluster_model(
-                models=models,
-                base_rate=args.rate,
-                seed=args.seed,
-                max_per_class=args.max_per_class,
-            )
-        except ValueError as error:
-            raise SystemExit(str(error))
-        if validate_at:
-            spec = _plan_validation_spec(args, None)
+            raise SystemExit(f"cannot load model {model_path}: {error}")
+    if source is None and args.rate is None:
+        raise SystemExit(
+            "a bare model file carries no arrival rates; pass --rate"
+        )
+    try:
+        cluster = fit_cluster_model(
+            source,
+            models=models,
+            base_rate=args.rate,
+            seed=args.seed,
+            max_per_class=args.max_per_class,
+            workers=args.workers,
+            cache=args.cache and isinstance(source, ShardStore),
+        )
+    except ValueError as error:
+        raise SystemExit(str(error))
+    spec = _plan_validation_spec(args, source) if validate_at else None
     try:
         plan = plan_sweep(
             cluster,

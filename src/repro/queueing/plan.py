@@ -20,10 +20,10 @@ them into a cluster-level network).  Three stages:
    :func:`~repro.queueing.mva.solve_mva` closed), reporting per-station
    utilization, latency, the bottleneck station and the saturation
    knee as data — never as an exception.
-3. **Cross-validate** — :func:`cross_validate` launches targeted
-   sharded simulations (:func:`repro.datacenter.collect_fleet_to_store`)
-   at user-chosen operating points and reports the analytic-vs-
-   simulated relative error per point, Table-2 style.
+3. **Cross-validate** — :func:`cross_validate` runs targeted in-memory
+   fleets (:func:`repro.datacenter.collect_fleet`) at user-chosen
+   operating points and reports the analytic-vs-simulated relative
+   error per point, Table-2 style.
 
 Everything below the solvers is imported lazily: ``repro.core`` pulls
 in ``repro.datacenter`` whose fleet module imports ``repro.store`` —
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
 from .mva import AnalyticStation, solve_jackson_saturating, solve_mva
@@ -66,7 +65,8 @@ def parse_multipliers(text: str) -> list[float]:
 
     Two forms: ``"0.5:100:17"`` is an inclusive geometric grid (low,
     high, point count); ``"1,2,5,10"`` is an explicit comma list.
-    The result is ascending, deduplicated, and strictly positive.
+    The result is ascending, deduplicated, strictly positive and
+    finite: a NaN or infinite bound or value is rejected.
     """
     text = text.strip()
     if not text:
@@ -82,8 +82,7 @@ def parse_multipliers(text: str) -> list[float]:
             n = int(parts[2])
         except ValueError:
             raise ValueError(f"bad grid {text!r}: expected LOW:HIGH:POINTS")
-        if lo <= 0 or hi <= 0:
-            raise ValueError(f"multipliers must be > 0 in {text!r}")
+        _check_multipliers((lo, hi), text)
         if hi <= lo:
             raise ValueError(f"bad grid {text!r}: HIGH must exceed LOW")
         if n < 2:
@@ -97,13 +96,18 @@ def parse_multipliers(text: str) -> list[float]:
             raise ValueError(f"bad multiplier list {text!r}")
         if not values:
             raise ValueError("empty multiplier grid")
-        if any(v <= 0 for v in values):
-            raise ValueError(f"multipliers must be > 0 in {text!r}")
+        _check_multipliers(values, text)
     out: list[float] = []
     for v in sorted(values):
         if not out or v > out[-1]:
             out.append(v)
     return out
+
+
+def _check_multipliers(values: Sequence[float], text: str) -> None:
+    # ``0 < v < inf`` is false for NaN, so one comparison covers all three.
+    if not all(0 < v < math.inf for v in values):
+        raise ValueError(f"multipliers must be finite and > 0 in {text!r}")
 
 
 @dataclass(frozen=True)
@@ -211,15 +215,10 @@ def fit_cluster_model(
     models: Optional[Mapping[str, Any]] = None,
     base_rate: Optional[float] = None,
     *,
-    config=None,
     seed: int = 42,
     max_per_class: int = 256,
     workers: int = 1,
     cache: bool = False,
-    machine_spec=None,
-    window: float = 0.25,
-    cores: int = 8,
-    analysis=None,
 ) -> ClusterModel:
     """Fit per-class service demands and arrival rates into a cluster model.
 
@@ -228,15 +227,15 @@ def fit_cluster_model(
     * ``source`` (a trace source / shard store): arrival rates and the
       class mix come from the streamed profile
       (:meth:`~repro.core.WorkloadProfile.class_rates`); per-class
-      models are trained via ``train_per_class`` unless ``models`` is
-      passed.
+      models are trained via ``train_per_class`` (default config)
+      unless ``models`` is passed.
     * ``models`` alone (a loaded per-class table): ``base_rate`` is
       required, and the mix is split by each model's training size.
 
     Each class's station demands are measured by synthesizing
     ``min(class count, max_per_class)`` requests with the same
     per-class RNG streams as ``validate_per_class`` and replaying them
-    on a simulated machine (``machine_spec``, default hardware); the
+    on a simulated machine with the default :class:`MachineSpec`; the
     machine's cumulative per-device busy seconds divided by the request
     count are the per-request demands.  Classes without a model or
     with a zero rate are recorded in :attr:`ClusterModel.skipped`.
@@ -249,14 +248,7 @@ def fit_cluster_model(
         raise ValueError("pass a trace source, a per-class model table, or both")
     observed_latency: dict[str, float] = {}
     if source is not None:
-        if analysis is None:
-            analysis = analyze_source(
-                source,
-                window=window,
-                cores=cores,
-                workers=workers,
-                cache=cache,
-            )
+        analysis = analyze_source(source, workers=workers, cache=cache)
         profile = analysis.profile
         rates = profile.class_rates()
         counts = dict(profile.classes)
@@ -268,10 +260,9 @@ def fit_cluster_model(
         if models is None:
             from ..store.training import train_per_class
 
-            fit = train_per_class(
-                source, config, workers=workers, cache=cache
-            )
-            models = fit.models
+            models = train_per_class(
+                source, workers=workers, cache=cache
+            ).models
         if base_rate is None:
             base_rate = profile.request_rate
         fit_source = "store"
@@ -296,7 +287,7 @@ def fit_cluster_model(
     if max_per_class < 1:
         raise ValueError(f"max_per_class must be >= 1, got {max_per_class}")
 
-    spec = machine_spec if machine_spec is not None else MachineSpec()
+    spec = MachineSpec()
     servers = {
         "cpu": spec.cpu.cores,
         "memory": spec.memory.channels,
@@ -678,23 +669,21 @@ def cross_validate(
     think_time: float = 0.0,
     customers: Optional[int] = None,
     workers: int = 1,
-    directory: Optional[Path] = None,
 ) -> list[ValidationPoint]:
     """Validate the analytic curve by simulation at chosen multipliers.
 
     ``spec`` is a :class:`repro.datacenter.FleetSpec` describing the 1x
     operating point (app, replicas, requests per replica, seed); each
-    multiplier launches a sharded fleet at the scaled arrival rate via
-    :func:`~repro.datacenter.collect_fleet_to_store`, characterizes the
-    resulting store, and compares its mean completed-request latency
-    against the analytic prediction.  Results are deterministic under a
-    fixed spec seed.  Stores land under ``directory`` (kept) or a
-    temporary directory (removed).
+    multiplier runs an in-memory fleet at the scaled arrival rate via
+    :func:`~repro.datacenter.collect_fleet` and compares its mean
+    completed-request latency against the analytic prediction.  That
+    mean is the one ``characterize`` reports for the same fleet
+    collected to a store.  Results are deterministic under a fixed spec
+    seed and equal for any worker count.
     """
-    import tempfile
+    import numpy as np
 
-    from ..datacenter import collect_fleet_to_store
-    from ..store.analyze import characterize_source
+    from ..datacenter import collect_fleet
 
     base_app_rate = spec.replica(0).arrival_rate
     if base_app_rate is None or base_app_rate <= 0:
@@ -702,25 +691,13 @@ def cross_validate(
             f"app {spec.app!r} has no positive arrival rate to scale"
         )
     points: list[ValidationPoint] = []
-    for i, multiplier in enumerate(multipliers):
+    for multiplier in multipliers:
         if multiplier <= 0:
             raise ValueError(f"multiplier must be > 0, got {multiplier}")
         point_spec = spec.at_rate(base_app_rate * multiplier)
-        tmp = None
-        if directory is None:
-            tmp = tempfile.TemporaryDirectory(prefix="repro-plan-")
-            store_dir = Path(tmp.name) / f"point-{i}"
-        else:
-            store_dir = Path(directory) / f"point-{i}"
-        try:
-            result = collect_fleet_to_store(
-                point_spec, directory=store_dir, workers=workers
-            )
-            profile = characterize_source(result.store(), workers=workers)
-        finally:
-            if tmp is not None:
-                tmp.cleanup()
-        if profile.requests is None:
+        traces = collect_fleet(point_spec, workers=workers).traces
+        latencies = [r.latency for r in traces.completed_requests()]
+        if not latencies:
             raise ValueError(
                 f"validation run at {multiplier}x produced no completed "
                 "requests; raise n_requests"
@@ -734,7 +711,7 @@ def cross_validate(
                 arrival_rate=base_app_rate * multiplier,
                 n_requests=point_spec.n_requests,
                 replicas=point_spec.replicas,
-                simulated_latency=profile.requests.mean_latency,
+                simulated_latency=float(np.mean(latencies)),
                 analytic_latency=analytic.mean_latency,
                 analytic_feasible=analytic.feasible,
             )

@@ -14,7 +14,12 @@ from repro.queueing import (
     plan_sweep,
     solve_point,
 )
-from repro.store import load_per_class_models, save_per_class_models, train_per_class
+from repro.store import (
+    characterize_source,
+    load_per_class_models,
+    save_per_class_models,
+    train_per_class,
+)
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +57,18 @@ def test_parse_multipliers_rejects_garbage():
                 "1:10:1"):
         with pytest.raises(ValueError):
             parse_multipliers(bad)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "inf", "nan", "1,nan", "1,inf", "-inf,2",
+        "1:inf:3", "nan:10:3", "1:nan:3", "-inf:1:3", "inf:inf:2",
+    ],
+)
+def test_parse_multipliers_rejects_non_finite(text):
+    with pytest.raises(ValueError, match="finite"):
+        parse_multipliers(text)
 
 
 # -- fitting -----------------------------------------------------------------
@@ -207,6 +224,28 @@ def test_cross_validate_reports_relative_error(tiny_store, cluster):
     )
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("seed", [3, 7, 11])
+@pytest.mark.parametrize("app", ["gfs", "webapp"])
+def test_cross_validate_equals_characterized_store(
+    cluster, tmp_path, app, seed, workers
+):
+    # The in-memory mean is the figure the store round trip reads: the
+    # same completed-request latencies, reduced in the same order.
+    spec = FleetSpec(app=app, replicas=2, seed=seed, n_requests=150)
+    multipliers = [1.0, 2.0]
+    points = cross_validate(cluster, multipliers, spec, workers=workers)
+    base_rate = spec.replica(0).arrival_rate
+    for i, multiplier in enumerate(multipliers):
+        result = collect_fleet_to_store(
+            spec.at_rate(base_rate * multiplier),
+            directory=tmp_path / f"point-{i}",
+            workers=workers,
+        )
+        profile = characterize_source(result.store())
+        assert points[i].simulated_latency == profile.requests.mean_latency
+
+
 def test_cross_validate_rejects_rateless_app(cluster):
     spec = FleetSpec(app="mapreduce", replicas=1, seed=3)
     with pytest.raises(ValueError):
@@ -275,6 +314,33 @@ def test_cli_plan_corrupt_model_exits_nonzero(tmp_path):
     truncated.write_text('{"format": "kooza-per-class", "classes"')
     with pytest.raises(SystemExit):
         main(["plan", "--in", str(truncated), "--rate", "25"])
+
+
+@pytest.mark.parametrize(
+    "flag,grid",
+    [
+        ("--validate-at", "nan"),
+        ("--validate-at", "inf"),
+        ("--scale", "nan"),
+        ("--scale", "1,nan"),
+        ("--scale", "1:inf:3"),
+    ],
+)
+def test_cli_plan_rejects_non_finite_grid_before_simulating(
+    cli_store, monkeypatch, flag, grid
+):
+    import repro.queueing.plan as plan_module
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a non-finite grid reached the simulation")
+
+    monkeypatch.setattr(plan_module, "fit_cluster_model", no_simulation)
+    monkeypatch.setattr(plan_module, "cross_validate", no_simulation)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["plan", "--in", str(cli_store), flag, grid])
+    message = excinfo.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert "finite" in message
 
 
 def test_cli_plan_rejects_bad_grid(cli_store):
