@@ -38,6 +38,8 @@ class ReplayHarness:
 
         if n_servers < 1:
             raise ValueError(f"need >= 1 server, got {n_servers}")
+        if max_io_bytes < 1:
+            raise ValueError(f"max_io_bytes must be >= 1, got {max_io_bytes}")
         self.machine_spec = machine_spec or MachineSpec()
         self.seed = seed
         self.n_servers = n_servers
@@ -96,20 +98,18 @@ class ReplayHarness:
             )
             if stage.kind in ("network_rx", "network_tx"):
                 direction = "rx" if stage.kind == "network_rx" else "tx"
-                yield env.process(
-                    machine.nic.transfer(request_id, stage.size_bytes, direction)
+                yield from machine.nic.transfer(
+                    request_id, stage.size_bytes, direction
                 )
             elif stage.kind == "cpu":
-                busy = yield env.process(
-                    machine.cpu.compute(request_id, stage.busy_seconds, cpu_phase)
+                busy = yield from machine.cpu.compute(
+                    request_id, stage.busy_seconds, cpu_phase
                 )
                 record.cpu_busy_seconds += busy
                 cpu_phase = "aggregate"
             elif stage.kind == "memory":
-                yield env.process(
-                    machine.memory.access(
-                        request_id, stage.address, stage.size_bytes, stage.op
-                    )
+                yield from machine.memory.access(
+                    request_id, stage.address, stage.size_bytes, stage.op
                 )
                 record.memory_bytes += stage.size_bytes
                 record.memory_op = stage.op
@@ -119,9 +119,7 @@ class ReplayHarness:
                 block = machine.disk.model.spec.block_size
                 while remaining > 0:
                     size = min(remaining, self.max_io_bytes)
-                    yield env.process(
-                        machine.disk.io(request_id, lbn, size, stage.op)
-                    )
+                    yield from machine.disk.io(request_id, lbn, size, stage.op)
                     lbn += -(-size // block)
                     remaining -= size
                 record.storage_bytes += stage.size_bytes

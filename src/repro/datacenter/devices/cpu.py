@@ -57,7 +57,7 @@ class Cpu:
         self._cores = Resource(env, capacity=spec.cores)
 
     def compute(self, request_id: int, work_seconds: float, phase: str):
-        """Process generator burning ``work_seconds`` of core time.
+        """Generator burning ``work_seconds`` of core time, driven inline.
 
         Returns the busy time actually consumed (after speed scaling
         and jitter), which callers accumulate into per-request CPU

@@ -121,7 +121,7 @@ class Disk:
         self._queue = Resource(env, capacity=1)
 
     def io(self, request_id: int, lbn: int, size_bytes: int, op: str):
-        """Process generator performing one disk I/O; returns duration."""
+        """Generator performing one disk I/O, driven inline; returns duration."""
         submit = self.env.now
         depth = self._queue.count + self._queue.queue_length
         with self._queue.request() as slot:

@@ -62,7 +62,7 @@ class Memory:
         return address // (self.spec.bank_interleave * self.spec.banks)
 
     def access(self, request_id: int, address: int, size_bytes: int, op: str):
-        """Process generator for one memory access burst.
+        """Generator for one memory access burst, driven inline.
 
         Returns the access duration.  Row-buffer state persists across
         requests, so access patterns with locality are measurably

@@ -47,7 +47,7 @@ class Nic:
         self._link = Resource(env, capacity=1)
 
     def transfer(self, request_id: int, size_bytes: int, direction: str):
-        """Process generator moving ``size_bytes`` over the link.
+        """Generator moving ``size_bytes`` over the link, driven inline.
 
         ``direction`` is ``"rx"`` for messages arriving at this server,
         ``"tx"`` for responses leaving it.  Returns the transfer

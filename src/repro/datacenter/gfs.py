@@ -96,6 +96,10 @@ class GfsCluster:
                 f"replication {spec.replication} must be in "
                 f"[1, {spec.chunkservers}]"
             )
+        if spec.max_io_bytes < 1:
+            raise ValueError(
+                f"max_io_bytes must be >= 1, got {spec.max_io_bytes}"
+            )
         machine_spec = machine_spec or MachineSpec()
         self.env = env
         self.spec = spec
@@ -158,22 +162,16 @@ class GfsCluster:
             span = tracer.start_span(
                 request_id, "master_lookup", self.master.name, env.now, root
             )
-            yield env.process(
-                self.master.nic.transfer(request_id, HEADER_BYTES, "rx")
-            )
-            busy = yield env.process(
-                self.master.cpu.compute(request_id, self.spec.master_work, "lookup")
+            yield from self.master.nic.transfer(request_id, HEADER_BYTES, "rx")
+            busy = yield from self.master.cpu.compute(
+                request_id, self.spec.master_work, "lookup"
             )
             record.cpu_busy_seconds += busy
-            yield env.process(
-                self.master.nic.transfer(request_id, HEADER_BYTES, "tx")
-            )
+            yield from self.master.nic.transfer(request_id, HEADER_BYTES, "tx")
             tracer.end_span(span, env.now)
 
         # -- primary chunkserver services the request ----------------------
-        busy = yield env.process(
-            self._serve(request_id, request, primary_index, root)
-        )
+        busy = yield from self._serve(request_id, request, primary_index, root)
         record.cpu_busy_seconds += busy
 
         # -- replicate writes to R-1 secondaries in parallel ---------------
@@ -237,14 +235,12 @@ class GfsCluster:
                 memory_bytes=max(1, request.memory_bytes // stripe_width),
                 memory_op=request.memory_op,
             )
-            busy = yield env.process(self._serve(request_id, sub, index, root))
+            busy = yield from self._serve(request_id, sub, index, root)
             # The response crosses the client's (shared) downlink.
             span = tracer.start_span(
                 request_id, "client_rx", "client", env.now, root
             )
-            yield env.process(
-                self.client.nic.transfer(request_id, stripe_bytes, "rx")
-            )
+            yield from self.client.nic.transfer(request_id, stripe_bytes, "rx")
             tracer.end_span(span, env.now)
             return busy
 
@@ -263,7 +259,10 @@ class GfsCluster:
         return record
 
     def _serve(self, request_id: int, request: GfsRequest, server_index: int, root):
-        """Process generator: one chunkserver's part of a request.
+        """Generator: one chunkserver's part of a request.
+
+        Driven inline for the primary and each stripe; write replicas
+        run it as parallel processes.
 
         Returns CPU busy seconds consumed on this server.
         """
@@ -276,24 +275,20 @@ class GfsCluster:
         # 1. Network receive: writes carry the data in, reads a header.
         rx_bytes = request.size_bytes if request.op == WRITE else HEADER_BYTES
         span = tracer.start_span(request_id, "network_rx", machine.name, env.now, root)
-        yield env.process(machine.nic.transfer(request_id, rx_bytes, "rx"))
+        yield from machine.nic.transfer(request_id, rx_bytes, "rx")
         tracer.end_span(span, env.now)
 
         # 2. CPU: locate the chunk, verify the handle.
         span = tracer.start_span(request_id, "cpu_lookup", machine.name, env.now, root)
-        busy = yield env.process(
-            machine.cpu.compute(request_id, spec.lookup_work, "lookup")
-        )
+        busy = yield from machine.cpu.compute(request_id, spec.lookup_work, "lookup")
         cpu_busy += busy
         tracer.end_span(span, env.now)
 
         # 3. Memory: metadata + buffer traffic.
         address = self._allocate_buffer(server_index, request.memory_bytes)
         span = tracer.start_span(request_id, "memory", machine.name, env.now, root)
-        yield env.process(
-            machine.memory.access(
-                request_id, address, request.memory_bytes, request.memory_op
-            )
+        yield from machine.memory.access(
+            request_id, address, request.memory_bytes, request.memory_op
         )
         tracer.end_span(span, env.now)
 
@@ -304,7 +299,7 @@ class GfsCluster:
         block = machine.disk.model.spec.block_size
         while remaining > 0:
             size = min(remaining, spec.max_io_bytes)
-            yield env.process(machine.disk.io(request_id, lbn, size, request.op))
+            yield from machine.disk.io(request_id, lbn, size, request.op)
             lbn += -(-size // block)
             remaining -= size
         tracer.end_span(span, env.now)
@@ -317,14 +312,14 @@ class GfsCluster:
         span = tracer.start_span(
             request_id, "cpu_aggregate", machine.name, env.now, root
         )
-        busy = yield env.process(machine.cpu.compute(request_id, work, "aggregate"))
+        busy = yield from machine.cpu.compute(request_id, work, "aggregate")
         cpu_busy += busy
         tracer.end_span(span, env.now)
 
         # 6. Network transmit: reads carry the data out, writes an ack.
         tx_bytes = request.size_bytes if request.op == READ else HEADER_BYTES
         span = tracer.start_span(request_id, "network_tx", machine.name, env.now, root)
-        yield env.process(machine.nic.transfer(request_id, tx_bytes, "tx"))
+        yield from machine.nic.transfer(request_id, tx_bytes, "tx")
         tracer.end_span(span, env.now)
 
         return cpu_busy

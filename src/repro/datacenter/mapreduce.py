@@ -124,6 +124,7 @@ class MapReduceCluster:
         lbn: int,
     ):
         """Process generator for one map or reduce task."""
+        # Device calls stay child processes in this module: see _shuffle.
         env = self.env
         tracer = self.tracer
         spec = self.spec
@@ -182,6 +183,8 @@ class MapReduceCluster:
         return record
 
     def _shuffle(self, request_id: int, src: Machine, dst: Machine, size: int):
+        # Child processes on purpose: simultaneous shuffles driven inline
+        # reorder the link queues and move the mapreduce-jsonl golden store.
         yield self.env.process(src.nic.transfer(request_id, size, "tx"))
         yield self.env.process(dst.nic.transfer(request_id, size, "rx"))
 

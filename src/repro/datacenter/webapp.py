@@ -197,39 +197,30 @@ class WebAppCluster:
 
         # -- request path ---------------------------------------------------
         s = span("network_rx", web)
-        yield env.process(web.nic.transfer(request_id, HEADER_BYTES, "rx"))
+        yield from web.nic.transfer(request_id, HEADER_BYTES, "rx")
         tracer.end_span(s, env.now)
 
         for machine, work in ((web, request.web_cpu), (app, request.app_cpu),
                               (db, request.db_cpu)):
             s = span("cpu_lookup", machine)
-            busy = yield env.process(
-                machine.cpu.compute(request_id, work, "lookup")
-            )
+            busy = yield from machine.cpu.compute(request_id, work, "lookup")
             cpu_busy += busy
             tracer.end_span(s, env.now)
             s = span("memory", machine)
             address = self._buffer_address(request.memory_bytes)
-            yield env.process(
-                machine.memory.access(
-                    request_id,
-                    address,
-                    request.memory_bytes,
-                    record.memory_op,
-                )
+            yield from machine.memory.access(
+                request_id, address, request.memory_bytes, record.memory_op
             )
             tracer.end_span(s, env.now)
             if machine is not db:
                 s = span("network_rx", machine)  # forward to next tier
-                yield env.process(
-                    machine.nic.transfer(request_id, HEADER_BYTES, "tx")
-                )
+                yield from machine.nic.transfer(request_id, HEADER_BYTES, "tx")
                 tracer.end_span(s, env.now)
 
         # -- database I/O ----------------------------------------------------
         s = span("storage", db)
-        yield env.process(
-            db.disk.io(request_id, request.db_lbn, request.db_io_bytes, request.db_op)
+        yield from db.disk.io(
+            request_id, request.db_lbn, request.db_io_bytes, request.db_op
         )
         tracer.end_span(s, env.now)
 
@@ -238,16 +229,12 @@ class WebAppCluster:
                               (app, request.app_cpu * 0.3),
                               (web, request.web_cpu * 0.5)):
             s = span("cpu_aggregate", machine)
-            busy = yield env.process(
-                machine.cpu.compute(request_id, work, "aggregate")
-            )
+            busy = yield from machine.cpu.compute(request_id, work, "aggregate")
             cpu_busy += busy
             tracer.end_span(s, env.now)
 
         s = span("network_tx", web)
-        yield env.process(
-            web.nic.transfer(request_id, request.response_bytes, "tx")
-        )
+        yield from web.nic.transfer(request_id, request.response_bytes, "tx")
         tracer.end_span(s, env.now)
 
         record.cpu_busy_seconds = cpu_busy

@@ -250,6 +250,43 @@ def test_restore_rejects_changed_inputs():
         ReplicaSession.restore(state)
 
 
+#: A window-0 checkpoint of ``gfs`` seed 7, 40 requests, 2 windows,
+#: written while every device call still ran as its own engine process.
+OLD_ENGINE_CHECKPOINT = (
+    Path(__file__).resolve().parent / "golden" / "checkpoint_child_process_engine.json"
+)
+
+
+def test_restore_refuses_checkpoint_of_older_engine():
+    # A checkpoint's step count is the engine clock of the code that
+    # wrote it; driving devices inline halves that clock, so replaying
+    # the recorded steps lands somewhere else and must be refused.
+    state = load_snapshot(OLD_ENGINE_CHECKPOINT)
+    with pytest.raises(
+        SnapshotMismatchError, match="ran out of events|diverged"
+    ):
+        ReplicaSession.restore(state, keep_records=False)
+
+
+def test_resume_refuses_checkpoint_of_older_engine(tmp_path, capsys):
+    store = tmp_path / "store"
+    collect_fleet_to_store(
+        directory=store, windows=2, app="gfs", replicas=1, seed=7, n_requests=40
+    )
+    # Torn after window 0, with the older engine's window-0 checkpoint.
+    (store / shard_dirname(1) / MANIFEST_FILENAME).unlink()
+    (store / CHECKPOINT_DIRNAME / "replica-00000.json").write_bytes(
+        OLD_ENGINE_CHECKPOINT.read_bytes()
+    )
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as refused:
+        main(["resume", "--out", str(store)])
+    message = str(refused.value.code)
+    assert "diverged" in message or "ran out of events" in message
+    assert "\n" not in message
+    assert capsys.readouterr().out == ""
+
+
 # -- forking ------------------------------------------------------------------
 
 

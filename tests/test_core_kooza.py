@@ -129,6 +129,14 @@ def test_replay_splits_large_ios():
     assert len(traces.storage) == 8
 
 
+@pytest.mark.parametrize("max_io_bytes", [0, -1])
+def test_replay_rejects_nonpositive_max_io(max_io_bytes):
+    # A non-positive split size never shrinks the remaining I/O: the
+    # storage loop would spin forever instead of failing.
+    with pytest.raises(ValueError, match="max_io_bytes"):
+        ReplayHarness(max_io_bytes=max_io_bytes)
+
+
 # -- Table 2 shape assertions (the headline reproduction) ---------------------
 
 

@@ -99,6 +99,21 @@ def test_replication_validation():
         )
 
 
+@pytest.mark.parametrize("max_io_bytes", [0, -1])
+def test_nonpositive_max_io_rejected(max_io_bytes):
+    # A non-positive split size never shrinks the remaining I/O: the
+    # chunkserver's storage loop would spin forever instead of failing.
+    with pytest.raises(ValueError, match="max_io_bytes"):
+        GfsCluster(
+            Environment(),
+            GfsSpec(max_io_bytes=max_io_bytes),
+            RandomStreams(0),
+            Tracer(),
+        )
+    with pytest.raises(ValueError, match="max_io_bytes"):
+        run_gfs_workload(5, gfs_spec=GfsSpec(max_io_bytes=max_io_bytes))
+
+
 def test_placement_is_deterministic():
     env = Environment()
     cluster = GfsCluster(
