@@ -8,15 +8,20 @@ streaming records to an on-disk shard store, exactly what one
 
 Two metrics per app:
 
-* **events/sec** — engine steps retired per wall second (kernel cost),
 * **records/sec** — trace records serialized to the store per wall
-  second (tracer + writer cost).
+  second.  Each app's record count must equal the pinned baseline's,
+  so the work is fixed and this speedup is a wall-time speedup.  Its
+  geometric mean is the asserted figure.
+* **events/sec** — engine steps retired per wall second, reported but
+  not asserted: a change that removes engine events (say, driving a
+  device call inline instead of as a child process) lowers it for the
+  same work in less time.
 
 The speedup is computed against the *pinned pre-optimization baseline*
 in ``benchmarks/baselines/collect_baseline.json``, recorded on the
 seed kernel by ``benchmarks/record_collect_baseline.py``.  Because the
 baseline was timed on one machine and the bench may run on another,
-the pinned events/sec are first rescaled by the ratio of calibration
+the pinned rates are first rescaled by the ratio of calibration
 scores (a fixed pure-Python workload timed both then and now) — see
 docs/performance.md for the methodology.
 
@@ -173,6 +178,12 @@ def test_collect_speed(tmp_path):
     speedups_records = []
     for app, stats in apps.items():
         base = baseline["apps"][app]
+        # Fixed work: the same records as the baseline, or the rate
+        # ratio below is not a wall-time ratio.
+        assert stats["records"] == base["records"], (
+            f"{app}: collected {stats['records']} records, the pinned "
+            f"baseline {base['records']}"
+        )
         scaled_events = base["events_per_sec"] * scale
         scaled_records = base["records_per_sec"] * scale
         ev_speedup = stats["events_per_sec"] / scaled_events
@@ -223,19 +234,15 @@ def test_collect_speed(tmp_path):
             f"{stats['records_speedup']:>11.2f}x"
         )
     lines.append(
-        f"geomean speedup: events {events_geomean:.2f}x, "
-        f"records {records_geomean:.2f}x "
-        f"(floor {SPEEDUP_FLOOR}x, target {SPEEDUP_TARGET}x, "
-        f"calibration scale {scale:.2f})"
+        f"geomean speedup: records {records_geomean:.2f}x "
+        f"(asserted floor {SPEEDUP_FLOOR}x, target {SPEEDUP_TARGET}x), "
+        f"events {events_geomean:.2f}x (reported only), "
+        f"calibration scale {scale:.2f}"
     )
     save_result("collect_speed", "\n".join(lines))
 
-    assert events_geomean >= SPEEDUP_FLOOR, (
-        f"collect events/sec geomean speedup {events_geomean:.2f}x fell "
-        f"below the asserted floor {SPEEDUP_FLOOR}x "
-        f"(per-app: { {a: round(s['events_speedup'], 2) for a, s in per_app.items()} })"
-    )
     assert records_geomean >= SPEEDUP_FLOOR, (
         f"collect records/sec geomean speedup {records_geomean:.2f}x fell "
-        f"below the asserted floor {SPEEDUP_FLOOR}x"
+        f"below the asserted floor {SPEEDUP_FLOOR}x "
+        f"(per-app: { {a: round(s['records_speedup'], 2) for a, s in per_app.items()} })"
     )

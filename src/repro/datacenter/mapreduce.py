@@ -124,7 +124,8 @@ class MapReduceCluster:
         lbn: int,
     ):
         """Process generator for one map or reduce task."""
-        # Device calls stay child processes in this module: see _shuffle.
+        # Device calls run inline (yield from); only _shuffle keeps
+        # child processes, see there.
         env = self.env
         tracer = self.tracer
         spec = self.spec
@@ -147,24 +148,20 @@ class MapReduceCluster:
         if read_bytes > 0:
             span = tracer.start_span(request_id, "storage", machine.name,
                                      env.now, root)
-            yield env.process(machine.disk.io(request_id, lbn, read_bytes, READ))
+            yield from machine.disk.io(request_id, lbn, read_bytes, READ)
             tracer.end_span(span, env.now)
 
         span = tracer.start_span(request_id, "memory", machine.name, env.now, root)
-        yield env.process(
-            machine.memory.access(
-                request_id, lbn * 4096 % (1 << 26), record.memory_bytes,
-                record.memory_op,
-            )
+        yield from machine.memory.access(
+            request_id, lbn * 4096 % (1 << 26), record.memory_bytes,
+            record.memory_op,
         )
         tracer.end_span(span, env.now)
 
         span = tracer.start_span(request_id, "cpu_lookup", machine.name,
                                  env.now, root)
-        busy = yield env.process(
-            machine.cpu.compute(
-                request_id, cpu_per_byte * max(read_bytes, write_bytes), "lookup"
-            )
+        busy = yield from machine.cpu.compute(
+            request_id, cpu_per_byte * max(read_bytes, write_bytes), "lookup"
         )
         record.cpu_busy_seconds += busy
         tracer.end_span(span, env.now)
@@ -172,8 +169,8 @@ class MapReduceCluster:
         if write_bytes > 0:
             span = tracer.start_span(request_id, "storage", machine.name,
                                      env.now, root)
-            yield env.process(
-                machine.disk.io(request_id, lbn + (1 << 20), write_bytes, WRITE)
+            yield from machine.disk.io(
+                request_id, lbn + (1 << 20), write_bytes, WRITE
             )
             tracer.end_span(span, env.now)
 

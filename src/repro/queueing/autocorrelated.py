@@ -113,25 +113,3 @@ class CopulaArrivals(ArrivalProcess):
     @property
     def mean_rate(self) -> float:
         return 1.0 / float(self._sorted.mean())
-
-    def lag1_autocorrelation(self) -> float:
-        """Model's latent lag-1 autocorrelation (diagnostic)."""
-        return float(acf_like_lag1(self.coefficients, self._residual_std))
-
-
-def acf_like_lag1(coefficients: np.ndarray, residual_std: float) -> float:
-    """Lag-1 autocorrelation implied by AR coefficients (simulated).
-
-    A short simulation is simpler and more robust than the closed form
-    for arbitrary p; deterministic seed keeps it reproducible.
-    """
-    rng = np.random.default_rng(0)
-    order = coefficients.size
-    state = [0.0] * order
-    values = np.empty(4096)
-    for i in range(values.size):
-        z = float(np.dot(coefficients, state) + rng.normal(0.0, residual_std))
-        state.insert(0, z)
-        del state[order:]
-        values[i] = z
-    return float(acf(values, max_lag=1)[1])

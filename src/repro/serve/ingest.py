@@ -71,18 +71,11 @@ class IngestSink:
         self.seed = seed
         self._lock = threading.Lock()
         self._writer: Optional[ShardWriter] = None
-        self._pending = 0
         # Monotonic floors for slot allocation: a shard index / round is
         # never reused even if a manifest scan transiently misses the
         # shard that claimed it (e.g. a manifest mid-finalize).
         self._reserved_index = 0
         self._reserved_round = 0
-
-    @property
-    def pending_records(self) -> int:
-        """Records written since the last commit."""
-        with self._lock:
-            return self._pending
 
     def _next_slots(self) -> tuple[int, int]:
         """Next free (shard index, round index), caller holds the lock.
@@ -136,7 +129,6 @@ class IngestSink:
             raise IngestError(f"malformed {stream} record: {error}") from error
         with self._lock:
             self._ensure_writer().write(stream, record)
-            self._pending += 1
 
     def commit(self, duration: float = 0.0) -> Optional[ShardManifest]:
         """Finalize the open shard as its own round (None if empty).
@@ -154,7 +146,6 @@ class IngestSink:
             if writer is None:
                 return None
             self._writer = None
-            self._pending = 0
             manifest = writer.finalize(max(duration, writer.extent))
             write_round_file(self.directory, manifest.round, [manifest.index])
         return manifest

@@ -40,10 +40,6 @@ class PollResult:
     cache_misses: int = 0
     elapsed_seconds: float = 0.0
 
-    @property
-    def n_new_records(self) -> int:
-        return sum(m.n_records for m in self.folded)
-
 
 class StoreWatcher:
     """Folds a store's growing shard prefix into a resident analysis."""

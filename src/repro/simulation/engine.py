@@ -401,11 +401,6 @@ class Environment:
         """
         return self._steps
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
-
     # -- event factories -------------------------------------------------
 
     def event(self) -> Event:

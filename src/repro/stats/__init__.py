@@ -37,9 +37,8 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     ),
     ".streaming": (
         "CategoricalCounter", "CoMomentsAccumulator", "ExactQuantiles",
-        "FixedHistogram", "InterarrivalStats", "MomentsAccumulator",
-        "P2Quantile", "ReservoirQuantile", "SeekStats", "SlidingWindowCounter",
-        "WindowedCounter",
+        "MomentsAccumulator", "ReservoirQuantile", "SeekStats",
+        "SlidingWindowCounter", "WindowedCounter",
     ),
 })
 
@@ -47,13 +46,10 @@ __all__ = [
     "CategoricalCounter",
     "CoMomentsAccumulator",
     "ExactQuantiles",
-    "FixedHistogram",
     "GaussianMixture",
-    "InterarrivalStats",
     "KMeans",
     "LinearRegression",
     "MomentsAccumulator",
-    "P2Quantile",
     "PCA",
     "ReservoirQuantile",
     "SampleSummary",

@@ -10,19 +10,21 @@ Merge semantics fall into three groups:
 
 * **order-free** — :class:`MomentsAccumulator` (Chan et al.'s parallel
   mean/variance update), :class:`CoMomentsAccumulator`,
-  :class:`FixedHistogram`, :class:`CategoricalCounter`,
-  :class:`WindowedCounter`, :class:`ExactQuantiles`.  Any merge order
-  yields the same result up to floating-point associativity.
-* **seam-aware** — :class:`InterarrivalStats` and :class:`SeekStats`
-  depend on *consecutive-record* differences, so each accumulator
-  remembers its first and last boundary elements and ``merge`` folds
-  the one gap that spans the seam.  Merging is exact **only** when the
-  right-hand accumulator covers the records immediately following the
-  left's — which is precisely the order shard stitching guarantees.
-* **approximate** — :class:`P2Quantile` (single-stream, no merge) and
-  :class:`ReservoirQuantile` (bounded memory, deterministic seeded
-  merge) trade exactness for O(1)/O(k) state; use
+  :class:`CategoricalCounter`, :class:`WindowedCounter`,
+  :class:`ExactQuantiles`.  Any merge order yields the same result up
+  to floating-point associativity.
+* **seam-aware** — :class:`SeekStats` depends on *consecutive-record*
+  differences, so it remembers its first and last boundary elements
+  and ``merge`` folds the one gap that spans the seam.  Merging is
+  exact **only** when the right-hand accumulator covers the records
+  immediately following the left's — which is precisely the order
+  shard stitching guarantees.
+* **approximate** — :class:`ReservoirQuantile` (bounded memory,
+  deterministic seeded merge) trades exactness for O(k) state; use
   :class:`ExactQuantiles` when the equality contract matters.
+
+:class:`SlidingWindowCounter` keeps a bounded horizon for live
+monitoring and has no ``merge``.
 
 Floating-point tolerance contract: batch numpy reductions use pairwise
 summation while these accumulators fold sequentially, so merged results
@@ -47,8 +49,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_right
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
@@ -59,10 +60,7 @@ __all__ = [
     "CategoricalCounter",
     "CoMomentsAccumulator",
     "ExactQuantiles",
-    "FixedHistogram",
-    "InterarrivalStats",
     "MomentsAccumulator",
-    "P2Quantile",
     "ReservoirQuantile",
     "SeekStats",
     "SlidingWindowCounter",
@@ -95,10 +93,6 @@ class MomentsAccumulator:
             self.min = value
         if value > self.max:
             self.max = value
-
-    def add_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
 
     def update_batch(self, values) -> None:
         """Fold a whole array in one vectorized step.
@@ -292,126 +286,14 @@ class CoMomentsAccumulator:
         return float(self.cxy / math.sqrt(self.m2x * self.m2y))
 
 
-class FixedHistogram:
-    """Counting histogram over caller-fixed bin edges.
-
-    Fixing the edges up front is what makes the merge exact: two
-    histograms over the same edges sum bin-wise.  Values outside the
-    edge range land in ``underflow``/``overflow``; a value exactly on
-    the last edge counts into the last bin (numpy's convention).
-    """
-
-    def __init__(self, edges: Sequence[float]):
-        edges = [float(e) for e in edges]
-        if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
-            raise ValueError("need >= 2 strictly increasing edges")
-        self.edges = edges
-        self.counts = [0] * (len(edges) - 1)
-        self.underflow = 0
-        self.overflow = 0
-
-    def add(self, value: float, weight: int = 1) -> None:
-        value = float(value)
-        if value < self.edges[0]:
-            self.underflow += weight
-            return
-        if value > self.edges[-1]:
-            self.overflow += weight
-            return
-        index = bisect_right(self.edges, value) - 1
-        if index == len(self.counts):  # value == last edge
-            index -= 1
-        self.counts[index] += weight
-
-    def update_batch(self, values, weight: int = 1) -> None:
-        """Bin a whole array at once — exactly ``add`` per value.
-
-        ``np.searchsorted(side="right")`` places every value (including
-        NaN, which sorts past the last edge and clamps into the last
-        bin) in the same bin ``bisect_right`` does, and counts are
-        integers, so this fold is bit-identical to the sequential path.
-        """
-        values = np.asarray(values, dtype=float)
-        if values.size == 0:
-            return
-        edges = np.asarray(self.edges)
-        under = values < edges[0]
-        over = values > edges[-1]
-        self.underflow += int(under.sum()) * weight
-        self.overflow += int(over.sum()) * weight
-        in_range = values[~(under | over)]
-        if in_range.size == 0:
-            return
-        index = np.searchsorted(edges, in_range, side="right") - 1
-        index = np.minimum(index, len(self.counts) - 1)
-        for i, count in enumerate(
-            np.bincount(index, minlength=len(self.counts)).tolist()
-        ):
-            if count:
-                self.counts[i] += count * weight
-
-    def merge(self, other: "FixedHistogram") -> "FixedHistogram":
-        if self.edges != other.edges:
-            raise ValueError("cannot merge histograms with different edges")
-        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        self.underflow += other.underflow
-        self.overflow += other.overflow
-        return self
-
-    def state(self) -> dict[str, Any]:
-        return {
-            "kind": "fixed-histogram",
-            "version": _SNAPSHOT_VERSION,
-            "edges": list(self.edges),
-            "counts": list(self.counts),
-            "underflow": self.underflow,
-            "overflow": self.overflow,
-        }
-
-    @classmethod
-    def from_state(cls, state: Mapping[str, Any]) -> "FixedHistogram":
-        _check_state(state, "fixed-histogram")
-        hist = cls(state["edges"])
-        hist.counts = [int(c) for c in state["counts"]]
-        if len(hist.counts) != len(hist.edges) - 1:
-            raise ValueError("histogram state counts do not match edges")
-        hist.underflow = int(state["underflow"])
-        hist.overflow = int(state["overflow"])
-        return hist
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts) + self.underflow + self.overflow
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile by linear interpolation inside bins.
-
-        Only in-range values participate; raises on an empty histogram.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q must be in [0, 1], got {q}")
-        in_range = sum(self.counts)
-        if in_range == 0:
-            raise ValueError("empty histogram")
-        target = q * in_range
-        seen = 0
-        for index, count in enumerate(self.counts):
-            if seen + count >= target and count > 0:
-                left, right = self.edges[index], self.edges[index + 1]
-                inside = (target - seen) / count
-                return left + (right - left) * inside
-            seen += count
-        return self.edges[-1]
-
-
 class ExactQuantiles:
     """Exact quantiles from a kept value buffer (the unbounded baseline).
 
     Stores every value (one float each, *not* whole trace records), so
     quantiles and two-sample tests computed from it are exactly the
     batch numbers.  Merge is list concatenation — exact for any merge
-    order since quantiles are order-free.  Swap in :class:`P2Quantile`
-    or :class:`ReservoirQuantile` when O(n) floats is too much.
+    order since quantiles are order-free.  Swap in
+    :class:`ReservoirQuantile` when O(n) floats is too much.
 
     ``max_values`` bounds the buffer for long incremental runs: once
     more than ``max_values`` values have been seen, the accumulator
@@ -463,13 +345,6 @@ class ExactQuantiles:
         self.values.append(float(value))
         if self.max_values is not None and len(self.values) > self.max_values:
             self._degrade()
-
-    def add_many(self, values: Iterable[float]) -> None:
-        if self.max_values is None and self._reservoir is None:
-            self.values.extend(float(v) for v in values)
-            return
-        for value in values:
-            self.add(value)
 
     def update_batch(self, values) -> None:
         """Fold an array of values — bit-identical to repeated ``add``.
@@ -563,137 +438,6 @@ class ExactQuantiles:
             acc._moments = MomentsAccumulator.from_state(state["moments"])
         else:
             acc.values = [float(v) for v in state["values"]]
-        return acc
-
-
-class P2Quantile:
-    """Jain & Chlamtac's P² single-quantile estimator (O(1) state).
-
-    Maintains five markers whose heights approximate the ``p``-quantile
-    without storing observations.  Single-stream only: P² marker
-    positions cannot be combined exactly, so ``merge`` raises — use
-    :class:`ReservoirQuantile` or :class:`ExactQuantiles` for sharded
-    folds.
-    """
-
-    def __init__(self, p: float):
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"p must be in (0, 1), got {p}")
-        self.p = p
-        self.n = 0
-        self._initial: list[float] = []
-        self._heights: list[float] = []
-        self._positions: list[float] = []
-        self._desired: list[float] = []
-        self._increments = [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0]
-
-    def add(self, value: float) -> None:
-        value = float(value)
-        self.n += 1
-        if not self._heights:
-            self._initial.append(value)
-            if len(self._initial) == 5:
-                self._initial.sort()
-                self._heights = list(self._initial)
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                self._desired = [
-                    1.0,
-                    1.0 + 2.0 * self.p,
-                    1.0 + 4.0 * self.p,
-                    3.0 + 2.0 * self.p,
-                    5.0,
-                ]
-            return
-        q, pos, des = self._heights, self._positions, self._desired
-        if value < q[0]:
-            q[0] = value
-            cell = 0
-        elif value >= q[4]:
-            q[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= q[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            pos[i] += 1.0
-        for i in range(5):
-            des[i] += self._increments[i]
-        for i in (1, 2, 3):
-            d = des[i] - pos[i]
-            if (d >= 1.0 and pos[i + 1] - pos[i] > 1.0) or (
-                d <= -1.0 and pos[i - 1] - pos[i] < -1.0
-            ):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if q[i - 1] < candidate < q[i + 1]:
-                    q[i] = candidate
-                else:
-                    q[i] = self._linear(i, step)
-                pos[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        q, pos = self._heights, self._positions
-        return q[i] + step / (pos[i + 1] - pos[i - 1]) * (
-            (pos[i] - pos[i - 1] + step)
-            * (q[i + 1] - q[i])
-            / (pos[i + 1] - pos[i])
-            + (pos[i + 1] - pos[i] - step)
-            * (q[i] - q[i - 1])
-            / (pos[i] - pos[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        q, pos = self._heights, self._positions
-        j = i + int(step)
-        return q[i] + step * (q[j] - q[i]) / (pos[j] - pos[i])
-
-    def update_batch(self, values) -> None:
-        """Fold an array of values.
-
-        P² marker updates are inherently sequential (each observation
-        moves the markers the next one lands between), so this is the
-        per-value loop — provided for interface parity, bit-identical
-        to repeated ``add``.
-        """
-        for value in np.asarray(values, dtype=float).tolist():
-            self.add(value)
-
-    def merge(self, other: "P2Quantile") -> "P2Quantile":
-        raise NotImplementedError(
-            "P2Quantile is single-stream; use ReservoirQuantile or "
-            "ExactQuantiles for mergeable quantile estimates"
-        )
-
-    @property
-    def value(self) -> float:
-        if self.n == 0:
-            raise ValueError("no values accumulated")
-        if not self._heights:  # fewer than 5 observations
-            return float(np.percentile(self._initial, self.p * 100.0))
-        return self._heights[2]
-
-    def state(self) -> dict[str, Any]:
-        return {
-            "kind": "p2-quantile",
-            "version": _SNAPSHOT_VERSION,
-            "p": self.p,
-            "n": self.n,
-            "initial": list(self._initial),
-            "heights": list(self._heights),
-            "positions": list(self._positions),
-            "desired": list(self._desired),
-        }
-
-    @classmethod
-    def from_state(cls, state: Mapping[str, Any]) -> "P2Quantile":
-        _check_state(state, "p2-quantile")
-        acc = cls(float(state["p"]))
-        acc.n = int(state["n"])
-        acc._initial = [float(v) for v in state["initial"]]
-        acc._heights = [float(v) for v in state["heights"]]
-        acc._positions = [float(v) for v in state["positions"]]
-        acc._desired = [float(v) for v in state["desired"]]
         return acc
 
 
@@ -1097,10 +841,6 @@ class SlidingWindowCounter:
         return sum(self.counts.values())
 
     @property
-    def weight_active(self) -> float:
-        return float(sum(self.bins.values()))
-
-    @property
     def n_windows(self) -> int:
         """Windows the kept horizon currently covers (incl. empty ones)."""
         if self.latest is None:
@@ -1165,126 +905,15 @@ class SlidingWindowCounter:
         return acc
 
 
-class InterarrivalStats:
-    """Gap statistics over an ordered timestamp stream, seam-mergeable.
-
-    Feeds two moment sets: ``all_gaps`` (every consecutive difference,
-    zeros included — the storage-profile convention) and
-    ``positive_gaps`` (zeros dropped — the arrival-process convention).
-    ``merge(other)`` requires ``other`` to cover the records immediately
-    following this accumulator's; the single seam gap
-    ``other.first - self.last`` is folded so the union is exactly the
-    full-stream gap sequence.
-    """
-
-    def __init__(self) -> None:
-        self.first: Optional[float] = None
-        self.last: Optional[float] = None
-        self.all_gaps = MomentsAccumulator()
-        self.positive_gaps = MomentsAccumulator()
-
-    def _fold(self, gap: float) -> None:
-        self.all_gaps.add(gap)
-        if gap > 0:
-            self.positive_gaps.add(gap)
-
-    def add(self, t: float) -> None:
-        t = float(t)
-        if self.first is None:
-            self.first = t
-        if self.last is not None:
-            self._fold(t - self.last)
-        self.last = t
-
-    def update_batch(self, times) -> None:
-        """Fold an ordered timestamp array in one vectorized step.
-
-        Gap values (``np.diff``) are the identical elementwise
-        subtractions the sequential path performs; the gaps then fold
-        through :meth:`MomentsAccumulator.update_batch`, so moments
-        match repeated ``add`` within the 1e-9 relative contract.
-        """
-        times = np.asarray(times, dtype=float)
-        if times.size == 0:
-            return
-        if self.last is None:
-            self.first = float(times[0])
-            gaps = np.diff(times)
-        else:
-            gaps = np.diff(np.concatenate(([self.last], times)))
-        if gaps.size:
-            self.all_gaps.update_batch(gaps)
-            positive = gaps[gaps > 0]
-            if positive.size:
-                self.positive_gaps.update_batch(positive)
-        self.last = float(times[-1])
-
-    def merge(self, other: "InterarrivalStats") -> "InterarrivalStats":
-        if other.first is None:
-            return self
-        if self.last is None:
-            self.first = other.first
-            self.last = other.last
-            self.all_gaps = other.all_gaps
-            self.positive_gaps = other.positive_gaps
-            return self
-        self._fold(other.first - self.last)
-        self.all_gaps.merge(other.all_gaps)
-        self.positive_gaps.merge(other.positive_gaps)
-        self.last = other.last
-        return self
-
-    @property
-    def n(self) -> int:
-        """Timestamps seen (gaps observed + 1, or 0 when empty)."""
-        return 0 if self.first is None else self.all_gaps.n + 1
-
-    @property
-    def span(self) -> float:
-        """``last - first`` (0.0 when fewer than two timestamps)."""
-        if self.first is None or self.last is None:
-            return 0.0
-        return self.last - self.first
-
-    def cov(self) -> float:
-        """CoV of positive gaps (sample std), the burstiness metric."""
-        gaps = self.positive_gaps
-        if gaps.n < 2:
-            raise ValueError(f"need >= 2 positive gaps, got {gaps.n}")
-        if gaps.mean <= 0:
-            raise ValueError("mean interarrival must be positive")
-        return gaps.std(ddof=1) / gaps.mean
-
-    def state(self) -> dict[str, Any]:
-        return {
-            "kind": "interarrival-stats",
-            "version": _SNAPSHOT_VERSION,
-            "first": self.first,
-            "last": self.last,
-            "all_gaps": self.all_gaps.state(),
-            "positive_gaps": self.positive_gaps.state(),
-        }
-
-    @classmethod
-    def from_state(cls, state: Mapping[str, Any]) -> "InterarrivalStats":
-        _check_state(state, "interarrival-stats")
-        acc = cls()
-        acc.first = None if state["first"] is None else float(state["first"])
-        acc.last = None if state["last"] is None else float(state["last"])
-        acc.all_gaps = MomentsAccumulator.from_state(state["all_gaps"])
-        acc.positive_gaps = MomentsAccumulator.from_state(state["positive_gaps"])
-        return acc
-
-
 class SeekStats:
     """Storage seek-distance statistics over an ordered I/O stream.
 
     Measures each gap from the *end* of the previous I/O (LBN plus its
     block-rounded length), exactly like
     :func:`repro.breadth.seek_distances`.  Integer sums keep the merged
-    sequential fraction and mean absolute seek exact.  Like
-    :class:`InterarrivalStats`, ``merge`` is seam-aware and assumes
-    ``other`` continues this accumulator's stream.
+    sequential fraction and mean absolute seek exact.  ``merge`` is
+    seam-aware and assumes ``other`` continues this accumulator's
+    stream.
     """
 
     BLOCK = 4096

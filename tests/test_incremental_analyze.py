@@ -33,10 +33,7 @@ from repro.stats import (
     CategoricalCounter,
     CoMomentsAccumulator,
     ExactQuantiles,
-    FixedHistogram,
-    InterarrivalStats,
     MomentsAccumulator,
-    P2Quantile,
     ReservoirQuantile,
     SeekStats,
     WindowedCounter,
@@ -54,8 +51,8 @@ from repro.tracing import source_columns
 # -- accumulator snapshots ---------------------------------------------------
 
 # Each case: (constructor, ordered add-argument tuples).  The sequences
-# are ordered so the seam-aware accumulators (InterarrivalStats,
-# SeekStats) can be split at any point and merged back exactly; the
+# are ordered so the seam-aware accumulator (SeekStats) can be split
+# at any point and merged back exactly; the
 # moments/quantile sequences include inf and NaN to pin down that
 # snapshots survive non-finite floats (JSON Infinity/NaN round-trip).
 CASES = [
@@ -70,19 +67,9 @@ CASES = [
         [(v, 2.0 * v - 1.0) for v in (3.0, -1.5, 0.0, float("nan"), 2.25)],
     ),
     (
-        "fixed-histogram",
-        lambda: FixedHistogram([-10.0, 0.0, 1.0, 2.5, 12.0]),
-        [(v,) for v in (3.0, -1.5, 0.5, float("inf"), -99.0, 2.5)],
-    ),
-    (
         "exact-quantiles",
         ExactQuantiles,
         [(v,) for v in (3.0, -1.5, 0.0, float("inf"), 2.25, 7.5)],
-    ),
-    (
-        "p2-quantile",
-        lambda: P2Quantile(0.9),
-        [(float(v),) for v in range(12)],
     ),
     (
         "reservoir-quantile",
@@ -98,11 +85,6 @@ CASES = [
         "windowed-counter",
         lambda: WindowedCounter(0.5),
         [(t, 1.0, 0.1) for t in (0.0, 0.2, 0.9, 1.4, 3.3)],
-    ),
-    (
-        "interarrival-stats",
-        InterarrivalStats,
-        [(t,) for t in (0.0, 0.1, 0.1, 0.45, 1.2, 1.7)],
     ),
     (
         "seek-stats",
@@ -148,8 +130,6 @@ def test_state_roundtrip_is_behaviorally_identical(name, make, samples):
 
 @pytest.mark.parametrize("name,make,samples", CASES, ids=IDS)
 def test_merge_after_restore_matches_merge_before(name, make, samples):
-    if name == "p2-quantile":
-        pytest.skip("P2Quantile is single-stream (merge raises)")
     left, right = make(), make()
     for args in samples[:3]:
         left.add(*args)

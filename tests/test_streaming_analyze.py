@@ -32,9 +32,7 @@ from repro.stats import (
     CategoricalCounter,
     CoMomentsAccumulator,
     ExactQuantiles,
-    FixedHistogram,
     MomentsAccumulator,
-    P2Quantile,
     ReservoirQuantile,
     SeekStats,
     WindowedCounter,
@@ -126,35 +124,17 @@ def test_comoments_zero_variance_matches_cross_correlation():
     assert acc.correlation == 0.0
 
 
-def test_fixed_histogram_merge_and_quantile():
-    edges = [0.0, 1.0, 2.0, 4.0]
-    a, b = FixedHistogram(edges), FixedHistogram(edges)
-    for v in (0.5, 1.5, 3.0, -1.0):
-        a.add(v)
-    for v in (0.25, 5.0):
-        b.add(v)
-    a.merge(b)
-    assert a.underflow == 1 and a.overflow == 1
-    assert sum(a.counts) == 4
-    assert 0.0 <= a.quantile(0.5) <= 4.0
-
-
 def test_streaming_quantiles_approximate_exact():
     rng = np.random.default_rng(2)
     values = rng.exponential(2.0, size=4000)
     exact = ExactQuantiles()
-    p2 = P2Quantile(0.95)
     res = ReservoirQuantile(capacity=2048, seed=3)
     for v in values:
         exact.add(float(v))
-        p2.add(float(v))
         res.add(float(v))
     truth = exact.quantile(0.95)
     assert truth == float(np.percentile(values, 95))
-    assert p2.value == pytest.approx(truth, rel=0.15)
     assert res.quantile(0.95) == pytest.approx(truth, rel=0.15)
-    with pytest.raises(NotImplementedError):
-        p2.merge(P2Quantile(0.95))
 
 
 def test_categorical_counter_modal_tie_is_lexicographic():
