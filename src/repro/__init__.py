@@ -76,7 +76,7 @@ _getattr, __dir__ = _lazy_exports(globals(), {
     ".breadth.combined": ("InBreadthWorkloadModel",),
     ".datacenter.gfs": ("GfsCluster", "GfsRequest", "GfsSpec"),
     ".datacenter.machine": ("Machine", "MachineSpec"),
-    ".datacenter.run": (
+    ".datacenter.session": (
         "run_gfs_workload", "run_mapreduce_jobs", "run_webapp_workload",
     ),
     ".depth.model": ("InDepthModel",),

@@ -696,9 +696,23 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--app", choices=("gfs", "webapp", "mapreduce"), default="gfs"
         )
-        cmd.add_argument("--requests", type=int, default=2000)
+        cmd.add_argument(
+            "--requests",
+            type=int,
+            default=2000,
+            help="requests per replica for gfs and webapp (default 2000); "
+            "mapreduce ignores it and runs its standard batch of 8 jobs",
+        )
         cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--rate", type=float, default=25.0)
+        cmd.add_argument(
+            "--rate",
+            type=float,
+            default=25.0,
+            help="Poisson arrival rate in requests per simulated second "
+            "(default 25.0, for webapp too: the library default of "
+            "run_webapp_workload and FleetSpec for webapp is 120); "
+            "mapreduce ignores it",
+        )
         cmd.add_argument(
             "--replicas",
             type=int,

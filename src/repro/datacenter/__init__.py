@@ -21,15 +21,14 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     ),
     ".power": ("EnergyReport", "MachinePowerSpec", "PowerModel"),
     ".fleet": (
-        "FleetResult", "FleetSpec", "ReplicaResult", "ReplicaSpec",
-        "StoreFleetResult", "collect_fleet", "collect_fleet_to_store",
-        "collect_replicas", "merge_replicas", "resume_fleet_collection",
-        "run_replica", "sweep_grid", "sweep_replica_specs",
+        "FleetResult", "FleetSpec", "ReplicaResult", "StoreFleetResult",
+        "collect_fleet", "collect_fleet_to_store", "collect_replicas",
+        "merge_replicas", "resume_fleet_collection", "run_replica",
+        "sweep_grid", "sweep_replica_specs",
     ),
-    ".session": ("ReplicaSession",),
-    ".run": (
-        "GfsRun", "default_mapreduce_jobs", "run_gfs_workload",
-        "run_mapreduce_jobs", "run_webapp_workload",
+    ".session": (
+        "GfsRun", "ReplicaSession", "ReplicaSpec", "default_mapreduce_jobs",
+        "run_gfs_workload", "run_mapreduce_jobs", "run_webapp_workload",
     ),
     ".webapp": (
         "WebAppCluster", "WebAppSpec", "WebRequest", "WebRequestClass",

@@ -52,7 +52,7 @@ from ..store.stitch import (
 from ..store.writer import ShardWriter, shard_dirname
 from ..tracing import Tracer, TraceSet
 from .mapreduce import JobResult
-from .session import ReplicaSession, _NullSink, replica_streams
+from .session import ReplicaSession, ReplicaSpec, _NullSink, replica_streams
 
 __all__ = [
     "CHECKPOINT_DIRNAME",
@@ -102,7 +102,7 @@ class FleetSpec:
         if self.n_requests < 1:
             raise ValueError(f"need >= 1 request, got {self.n_requests}")
 
-    def replica(self, index: int) -> "ReplicaSpec":
+    def replica(self, index: int) -> ReplicaSpec:
         rate = self.arrival_rate
         if rate is None:
             rate = _APPS[self.app]
@@ -131,18 +131,6 @@ class FleetSpec:
                 f"arrival rate must be > 0, got {arrival_rate}"
             )
         return replace(self, arrival_rate=arrival_rate)
-
-
-@dataclass(frozen=True)
-class ReplicaSpec:
-    """One replica's share of a fleet run (picklable; sent to workers)."""
-
-    app: str
-    index: int
-    seed: int
-    n_requests: int
-    arrival_rate: Optional[float]
-    sample_every: int = 1
 
 
 @dataclass

@@ -1,59 +1,80 @@
-"""Replica sessions: stepwise-driven workload runs with checkpoint/restore.
+"""Replica drivers: one-call workload runs and checkpointable sessions.
 
-A :class:`ReplicaSession` owns the full substrate of one workload
-replica — engine, RNG stream factory, tracer, cluster, client — and
-exposes it *stepwise*: callers advance the simulation in increments
-(``run(until=...)``, :meth:`advance_progress`), snapshot it between
-steps (:meth:`checkpoint`), and rebuild a byte-identical live session
-from a snapshot (:meth:`restore`).  The one-call drivers in
-:mod:`repro.datacenter.run` wire the exact same components through the
-builder functions here, so a session replays precisely what a
-single-shot run executes.
+Every simulated workload run in the repository is wired here.  The
+``build_*_session`` functions assemble one replica — engine, RNG stream
+factory, tracer, cluster, client — without running it, and two drivers
+share them:
+
+* the one-call drivers (:func:`run_gfs_workload`,
+  :func:`run_webapp_workload`, :func:`run_mapreduce_jobs`) wire a run
+  from ``RandomStreams(seed)``, drive it to exhaustion and return its
+  traces — the standard trace-collection runs the benches, examples and
+  a flat ``repro collect`` repeat;
+* a :class:`ReplicaSession`, built from a :class:`ReplicaSpec`, exposes
+  the same wiring *stepwise*: callers advance the simulation in
+  increments (:meth:`~ReplicaSession.advance_progress`), snapshot it
+  between steps (:meth:`~ReplicaSession.checkpoint`), and rebuild a
+  byte-identical live session from a snapshot
+  (:meth:`~ReplicaSession.restore`).  The fleet
+  (:mod:`repro.datacenter.fleet`) drives every replica this way.
 
 Checkpoints are *replay recipes*, not frame dumps: simulation processes
 are live Python generators, which cannot be serialized, but every
 replica is a pure function of its spec — so a checkpoint records the
-spec, the engine's step count, the fork history, and validation digests
-(engine fingerprint, full RNG tree state, tracer counters).  Restore
-re-executes the replica for exactly that many steps, re-applies forks
-at their recorded step counts, then verifies the digests; any drift
-(changed code, changed inputs) raises
+spec, the engine's step count and validation digests (engine
+fingerprint, full RNG tree state, tracer counters).  Restore
+re-executes the replica for exactly that many steps, then verifies the
+digests; any drift (changed code, changed inputs) raises
 :class:`~repro.snapshot.SnapshotMismatchError` instead of silently
 continuing from a different state.
-
-:meth:`fork` turns one warmed-up session into independent determinstic
-branches: it re-keys the whole RNG tree in place (see
-:meth:`repro.simulation.RandomStreams.fork`), so two sessions restored
-from the same checkpoint and forked with different keys share their
-entire history and diverge only through their fork keys.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
-from ..queueing import PoissonArrivals
+import numpy as np
+
+from ..queueing import ArrivalProcess, PoissonArrivals
 from ..simulation import Environment, RandomStreams, SimulationError
 from ..simulation.checkpoint import engine_digest, verify_engine_digest
 from ..snapshot import SnapshotMismatchError, check_state, make_state
-from ..tracing import Tracer
-from ..workloads import OpenLoopClient, table2_mix
+from ..tracing import Tracer, TraceSet
+from ..workloads import OpenLoopClient, WorkloadMix, table2_mix
 from .gfs import GfsCluster, GfsSpec
-from .mapreduce import MapReduceCluster, MapReduceJob, MapReduceSpec
+from .machine import MachineSpec
+from .mapreduce import JobResult, MapReduceCluster, MapReduceJob, MapReduceSpec
 from .webapp import WebAppCluster, WebAppSpec
 
 __all__ = [
+    "GfsRun",
     "ReplicaSession",
+    "ReplicaSpec",
     "default_mapreduce_jobs",
     "replica_streams",
     "build_gfs_session",
     "build_mapreduce_session",
     "build_webapp_session",
+    "run_gfs_workload",
+    "run_mapreduce_jobs",
+    "run_webapp_workload",
 ]
 
 CHECKPOINT_KIND = "replica-checkpoint"
+
+
+@dataclass(frozen=True)
+class ReplicaSpec:
+    """One replica's share of a fleet run (picklable; sent to workers)."""
+
+    app: str
+    index: int
+    seed: int
+    n_requests: int
+    arrival_rate: Optional[float]
+    sample_every: int = 1
 
 
 def replica_streams(seed: int, index: int) -> RandomStreams:
@@ -103,18 +124,19 @@ def build_gfs_session(
     n_requests: int,
     streams: RandomStreams,
     tracer: Tracer,
-    arrival_rate: float = 25.0,
+    arrival_rate: float,
     mix_factory=table2_mix,
     gfs_spec: Optional[GfsSpec] = None,
-    machine_spec=None,
-    arrivals=None,
+    machine_spec: Optional[MachineSpec] = None,
+    arrivals: Optional[ArrivalProcess] = None,
 ) -> SessionParts:
     """Wire a GFS replica (cluster, mix, arrivals, client) without running.
 
     Component creation order is the determinism contract: cluster, then
     mix, then arrivals, then client start — every stochastic draw
     happens in this order, so a session built twice from equal inputs
-    is bit-identical.
+    is bit-identical.  ``arrival_rate`` is ignored when an explicit
+    ``arrivals`` process is passed.
     """
     env = Environment()
     cluster = GfsCluster(env, gfs_spec or GfsSpec(), streams, tracer, machine_spec)
@@ -127,22 +149,13 @@ def build_gfs_session(
 
 
 def build_webapp_session(
-    n_requests: int,
-    streams: RandomStreams,
-    tracer: Tracer,
-    arrival_rate: float = 120.0,
-    webapp_spec: Optional[WebAppSpec] = None,
-    machine_spec=None,
-    arrivals=None,
+    n_requests: int, streams: RandomStreams, tracer: Tracer, arrival_rate: float
 ) -> SessionParts:
     """Wire a 3-tier web replica without running (same order contract)."""
     env = Environment()
-    cluster = WebAppCluster(
-        env, webapp_spec or WebAppSpec(), streams, tracer, machine_spec
-    )
+    cluster = WebAppCluster(env, WebAppSpec(), streams, tracer)
     request_rng = streams.get("workload/requests")
-    if arrivals is None:
-        arrivals = PoissonArrivals(arrival_rate, streams.buffered("workload/arrivals"))
+    arrivals = PoissonArrivals(arrival_rate, streams.buffered("workload/arrivals"))
     client = OpenLoopClient(
         env,
         cluster.client_request,
@@ -158,13 +171,12 @@ def build_mapreduce_session(
     tracer: Tracer,
     jobs: Optional[list[MapReduceJob]] = None,
     spec: Optional[MapReduceSpec] = None,
-    machine_spec=None,
 ) -> SessionParts:
     """Wire a MapReduce replica without running (same order contract)."""
     if jobs is None:
         jobs = default_mapreduce_jobs(streams.get("workload/jobs"))
     env = Environment()
-    cluster = MapReduceCluster(env, spec or MapReduceSpec(), streams, tracer, machine_spec)
+    cluster = MapReduceCluster(env, spec or MapReduceSpec(), streams, tracer)
 
     def driver(env):
         for job in jobs:
@@ -174,17 +186,120 @@ def build_mapreduce_session(
     return SessionParts(env, streams, tracer, cluster, None, len(jobs))
 
 
+# -- one-call drivers ---------------------------------------------------------
+
+
+@dataclass
+class GfsRun:
+    """Everything a GFS trace-collection run produced."""
+
+    traces: TraceSet
+    cluster: GfsCluster
+    env: Environment
+    duration: float
+    settle_time: float = 0.0
+
+    def throughput(self) -> float:
+        """Completed requests per simulated second, after warm-up.
+
+        Only requests completing *after* ``settle_time`` count, so a
+        warm-up window shrinks both the numerator and the denominator.
+        """
+        if self.duration <= 0:
+            return 0.0
+        completed = sum(
+            1
+            for r in self.traces.completed_requests()
+            if r.completion_time > self.settle_time
+        )
+        return completed / self.duration
+
+
+def run_gfs_workload(
+    n_requests: int = 2000,
+    seed: int = 0,
+    arrival_rate: float = 25.0,
+    mix_factory: Callable[[np.random.Generator], WorkloadMix] = table2_mix,
+    gfs_spec: Optional[GfsSpec] = None,
+    machine_spec: Optional[MachineSpec] = None,
+    arrivals: Optional[ArrivalProcess] = None,
+    sample_every: int = 1,
+    settle_time: float = 0.0,
+) -> GfsRun:
+    """Run an open-loop GFS workload and collect traces.
+
+    ``arrival_rate`` is ignored when an explicit ``arrivals`` process is
+    passed.  ``settle_time`` marks the warm-up window: requests
+    completing inside it are still traced but excluded from
+    :meth:`GfsRun.throughput`, and the run duration is counted from the
+    end of the window.
+    """
+    if n_requests < 1:
+        raise ValueError(f"need >= 1 request, got {n_requests}")
+    parts = build_gfs_session(
+        n_requests,
+        RandomStreams(seed),
+        Tracer(sample_every=sample_every),
+        arrival_rate,
+        mix_factory=mix_factory,
+        gfs_spec=gfs_spec,
+        machine_spec=machine_spec,
+        arrivals=arrivals,
+    )
+    parts.env.run()
+    return GfsRun(
+        traces=parts.tracer.traces,
+        cluster=parts.cluster,
+        env=parts.env,
+        duration=parts.env.now - settle_time,
+        settle_time=settle_time,
+    )
+
+
+def run_webapp_workload(
+    n_requests: int = 2000, seed: int = 0, arrival_rate: float = 120.0
+) -> TraceSet:
+    """Run an open-loop 3-tier web workload and collect traces."""
+    if n_requests < 1:
+        raise ValueError(f"need >= 1 request, got {n_requests}")
+    parts = build_webapp_session(
+        n_requests, RandomStreams(seed), Tracer(), arrival_rate
+    )
+    parts.env.run()
+    return parts.tracer.traces
+
+
+def run_mapreduce_jobs(
+    jobs: Optional[list[MapReduceJob]] = None,
+    seed: int = 0,
+    spec: Optional[MapReduceSpec] = None,
+) -> tuple[TraceSet, list[JobResult]]:
+    """Run a batch of MapReduce jobs back-to-back; traces + results.
+
+    When ``jobs`` is omitted a default batch is synthesized from the
+    ``workload/jobs`` substream — *not* a raw generator seeded directly
+    from ``seed`` — so job synthesis honors the repository invariant
+    that every stochastic component draws from a named substream.
+    """
+    parts = build_mapreduce_session(
+        RandomStreams(seed), Tracer(), jobs=jobs, spec=spec
+    )
+    parts.env.run()
+    return parts.tracer.traces, parts.cluster.results
+
+
+# -- checkpointable sessions --------------------------------------------------
+
+
 class ReplicaSession:
     """One live, checkpointable replica of a standard fleet workload.
 
-    Built from a :class:`~repro.datacenter.fleet.ReplicaSpec`.  The
-    session is inert until driven:
-    :meth:`run`, :meth:`advance_progress` or :meth:`run_to_completion`
-    step the engine; :meth:`checkpoint` may be called between any two
-    steps.
+    Built from a :class:`ReplicaSpec`.  The session is inert until
+    driven: :meth:`advance_progress` or :meth:`run_to_completion` step
+    the engine; :meth:`checkpoint` may be called between any two steps.
     """
 
-    def __init__(self, spec, tracer: Optional[Tracer] = None):
+    def __init__(self, spec: ReplicaSpec, tracer: Optional[Tracer] = None):
         if spec.app not in ("gfs", "webapp", "mapreduce"):
             raise ValueError(f"unknown app {spec.app!r}")
         self.spec = spec
@@ -193,11 +308,11 @@ class ReplicaSession:
             tracer = Tracer(sample_every=spec.sample_every)
         if spec.app == "gfs":
             parts = build_gfs_session(
-                spec.n_requests, streams, tracer, arrival_rate=spec.arrival_rate
+                spec.n_requests, streams, tracer, spec.arrival_rate
             )
         elif spec.app == "webapp":
             parts = build_webapp_session(
-                spec.n_requests, streams, tracer, arrival_rate=spec.arrival_rate
+                spec.n_requests, streams, tracer, spec.arrival_rate
             )
         else:
             parts = build_mapreduce_session(streams, tracer)
@@ -207,7 +322,6 @@ class ReplicaSession:
         self.cluster = parts.cluster
         self.client = parts.client
         self.total_progress = parts.total_progress
-        self._fork_history: list[tuple[int, str]] = []
 
     # -- driving -------------------------------------------------------------
 
@@ -220,13 +334,6 @@ class ReplicaSession:
         if self.spec.app == "mapreduce":
             return len(self.cluster.results)
         return self.tracer.emitted["requests"]
-
-    def done(self) -> bool:
-        return not self.env._queue
-
-    def run(self, until: Optional[float] = None) -> None:
-        """Advance to ``until`` (or exhaustion), as ``Environment.run``."""
-        self.env.run(until)
 
     def run_to_completion(self) -> None:
         self.env.run()
@@ -247,21 +354,6 @@ class ReplicaSession:
             raise ValueError(f"window {window} outside 0..{n_windows - 1}")
         return -(-self.total_progress * (window + 1) // n_windows)
 
-    # -- forking -------------------------------------------------------------
-
-    def fork(self, key: str) -> "ReplicaSession":
-        """Re-key this session's randomness as deterministic branch ``key``.
-
-        Applied in place between engine steps; everything already
-        simulated is shared history, every future draw derives from the
-        fork key.  Recorded in checkpoints (with the step count it was
-        applied at) so a forked session's own checkpoints restore
-        correctly.  Returns ``self`` for chaining.
-        """
-        self.streams.fork(key)
-        self._fork_history.append((self.env.steps, key))
-        return self
-
     # -- snapshots ------------------------------------------------------------
 
     def checkpoint(self) -> dict[str, Any]:
@@ -272,7 +364,6 @@ class ReplicaSession:
                 "spec": asdict(self.spec),
                 "engine": engine_digest(self.env),
                 "rng": self.streams.state(),
-                "forks": [[steps, key] for steps, key in self._fork_history],
                 "tracer": {
                     "request_counter": self.tracer._request_counter,
                     "next_span_id": self.tracer._next_span_id,
@@ -310,11 +401,11 @@ class ReplicaSession:
 
         Raises :class:`SnapshotMismatchError` when the replay does not
         land on the recorded digests — the code or inputs changed
-        between save and restore.
+        between save and restore.  A checkpoint written by an older
+        version of this code (an older engine clock or RNG state layout)
+        is refused the same way.
         """
         check_state(state, CHECKPOINT_KIND)
-        from .fleet import ReplicaSpec  # local import: fleet imports us
-
         spec = ReplicaSpec(**state["spec"])
         sink = None if keep_records else _NullSink()
         tracer = Tracer(
@@ -322,10 +413,6 @@ class ReplicaSession:
         )
         session = cls(spec, tracer=tracer)
         engine = state["engine"]
-        for steps, key in state.get("forks", []):
-            session._replay_steps(int(steps))
-            session.streams.fork(str(key))
-            session._fork_history.append((int(steps), str(key)))
         session._replay_steps(int(engine["steps"]))
         # ``run(until=t)`` parks the clock at ``t`` even when the last
         # event fired earlier; replay can only recover event times, so

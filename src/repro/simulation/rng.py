@@ -6,13 +6,10 @@ reproducible and independent components never share a stream (changing
 how many samples one device draws cannot perturb another device).
 
 Factories are :class:`~repro.snapshot.Snapshotable`: ``state()``
-captures the seed, the namespace path, the fork lineage and every live
-generator's bit-generator state across the whole spawn tree, and
-``from_state`` rebuilds a factory whose future draws continue exactly
-where the snapshot left off.  :meth:`RandomStreams.fork` rebrands a
-warmed-up factory (in place, including generators components already
-hold) as an independent deterministic branch: two forks of the same
-snapshot agree on everything except their fork keys.
+captures the seed, the namespace path and every live generator's
+bit-generator state across the whole spawn tree, and ``from_state``
+rebuilds a factory whose future draws continue exactly where the
+snapshot left off.
 """
 
 from __future__ import annotations
@@ -21,16 +18,9 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..snapshot import SNAPSHOT_VERSION, check_state
+from ..snapshot import SNAPSHOT_VERSION, SnapshotFormatError, check_state
 
 __all__ = ["RandomStreams", "BufferedStream", "choice_cdf", "choice_index"]
-
-#: Domain separator mixed into derivation keys of forked factories.  A
-#: legacy (unforked) key is ``[seed] + encoded-path`` whose second
-#: element is a segment *byte length* (< 2**32 but realistically tiny);
-#: this tag is far outside that range, so forked and unforked key spaces
-#: cannot collide.
-_FORK_TAG = 0x464F524B2D544147  # ASCII "FORK-TAG"
 
 
 def _encode_path(path: tuple[str, ...]) -> list[int]:
@@ -159,19 +149,6 @@ class BufferedStream:
         self._len = 0
         self._block_state = None
 
-    def discard(self) -> None:
-        """Drop any outstanding block without touching the generator.
-
-        Used when the generator is reseeded out from under the wrapper
-        (``RandomStreams.fork``): the prefetched values belong to the
-        old seed and the captured pre-block state must not be restored.
-        """
-        self._kind = None
-        self._buf = None
-        self._pos = 0
-        self._len = 0
-        self._block_state = None
-
     def _fill(self, kind: str) -> np.ndarray:
         self.sync()
         gen = self._gen
@@ -269,7 +246,6 @@ class RandomStreams:
     def __init__(self, seed: int = 0, prefix: str = ""):
         self.seed = int(seed)
         self._path: tuple[str, ...] = (prefix,) if prefix else ()
-        self._forks: tuple[str, ...] = ()
         self._streams: dict[str, np.random.Generator] = {}
         self._children: dict[str, "RandomStreams"] = {}
         self._buffered: dict[str, BufferedStream] = {}
@@ -279,30 +255,10 @@ class RandomStreams:
         """Human-readable namespace path (diagnostic only)."""
         return "/".join(self._path)
 
-    @property
-    def forks(self) -> tuple[str, ...]:
-        """The fork keys applied to this factory, oldest first."""
-        return self._forks
-
-    def _derive_key(self, path: tuple[str, ...]) -> list[int]:
-        """The SeedSequence entropy key for a stream at ``path``.
-
-        Unforked factories keep the historic ``[seed] + path`` layout
-        (so existing runs reproduce bit-for-bit); forked factories mix
-        in a domain tag plus the fork lineage ahead of the path.
-        """
-        if not self._forks:
-            return [self.seed] + _encode_path(path)
-        return (
-            [self.seed, _FORK_TAG]
-            + _encode_path(self._forks)
-            + _encode_path(path)
-        )
-
     def get(self, name: str) -> np.random.Generator:
         """Return (creating if needed) the stream for ``name``."""
         if name not in self._streams:
-            key = self._derive_key(self._path + (name,))
+            key = [self.seed] + _encode_path(self._path + (name,))
             self._streams[name] = np.random.default_rng(np.random.SeedSequence(key))
         return self._streams[name]
 
@@ -312,9 +268,8 @@ class RandomStreams:
         Memoized, and backed by the *same* generator :meth:`get` would
         return — but the two access paths must not be mixed for one
         name: while a prefetched block is outstanding the raw
-        generator's state lags the logical draw position (snapshots and
-        forks re-synchronize automatically; ad-hoc ``get()`` draws do
-        not).
+        generator's state lags the logical draw position (snapshots
+        re-synchronize automatically; ad-hoc ``get()`` draws do not).
         """
         if name not in self._buffered:
             self._buffered[name] = BufferedStream(self.get(name))
@@ -325,39 +280,8 @@ class RandomStreams:
         if name not in self._children:
             child = RandomStreams(self.seed)
             child._path = self._path + (name,)
-            child._forks = self._forks
             self._children[name] = child
         return self._children[name]
-
-    # -- forking -------------------------------------------------------------
-
-    def fork(self, key: str) -> "RandomStreams":
-        """Rebrand this factory (in place) as deterministic branch ``key``.
-
-        Every existing generator in the spawn tree is reseeded from the
-        forked derivation of its own path — in place, because live
-        components hold references to those generator objects — and
-        every stream or child created afterwards derives from the
-        forked key space too.  Two factories restored from the same
-        snapshot and forked with different keys therefore produce fully
-        independent draws; forked with the same key they stay identical.
-        Returns ``self`` for chaining.
-        """
-        self._apply_fork(key)
-        return self
-
-    def _apply_fork(self, key: str) -> None:
-        self._forks = self._forks + (key,)
-        # Prefetched blocks belong to the old seed: drop them without
-        # restoring their pre-block states over the fresh reseed.
-        for wrapper in self._buffered.values():
-            wrapper.discard()
-        for name, stream in self._streams.items():
-            fresh_key = self._derive_key(self._path + (name,))
-            fresh = np.random.default_rng(np.random.SeedSequence(fresh_key))
-            stream.bit_generator.state = fresh.bit_generator.state
-        for child in self._children.values():
-            child._apply_fork(key)
 
     # -- snapshots ------------------------------------------------------------
 
@@ -380,7 +304,6 @@ class RandomStreams:
             "version": SNAPSHOT_VERSION,
             "seed": self.seed,
             "path": list(self._path),
-            "forks": list(self._forks),
             "streams": {
                 name: stream.bit_generator.state
                 for name, stream in sorted(self._streams.items())
@@ -393,11 +316,20 @@ class RandomStreams:
 
     @classmethod
     def from_state(cls, state: Mapping[str, Any]) -> "RandomStreams":
-        """Rebuild a factory whose draws continue the snapshot exactly."""
+        """Rebuild a factory whose draws continue the snapshot exactly.
+
+        Raises :class:`SnapshotFormatError` on a state written by a
+        factory that was re-keyed with fork keys: streams it would
+        derive next cannot be reproduced by this version.
+        """
         check_state(state, "random-streams")
+        if state.get("forks"):
+            raise SnapshotFormatError(
+                f"random-streams state carries fork keys {state['forks']!r}; "
+                "forked streams are no longer derived, so it cannot be restored"
+            )
         factory = cls(int(state["seed"]))
         factory._path = tuple(str(s) for s in state["path"])
-        factory._forks = tuple(str(s) for s in state.get("forks", ()))
         for name, rng_state in state["streams"].items():
             stream = factory.get(str(name))
             stream.bit_generator.state = rng_state

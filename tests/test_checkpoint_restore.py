@@ -1,4 +1,4 @@
-"""Engine checkpoint/restore, the unified snapshot protocol, and forking.
+"""Engine checkpoint/restore and the unified snapshot protocol.
 
 Covers the acceptance contract of the checkpoint subsystem:
 
@@ -8,7 +8,7 @@ Covers the acceptance contract of the checkpoint subsystem:
   never-drawn-generator pitfall;
 * run / checkpoint / restore / run byte-identity for all three standard
   workloads;
-* deterministic forking from a warmed-up checkpoint;
+* refusal of checkpoints written by older versions of the code;
 * windowed collection (``--windows N``) merging byte-identically to a
   single-shot collect, and kill-mid-replica resume equivalence.
 """
@@ -250,11 +250,19 @@ def test_restore_rejects_changed_inputs():
         ReplicaSession.restore(state)
 
 
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
 #: A window-0 checkpoint of ``gfs`` seed 7, 40 requests, 2 windows,
 #: written while every device call still ran as its own engine process.
-OLD_ENGINE_CHECKPOINT = (
-    Path(__file__).resolve().parent / "golden" / "checkpoint_child_process_engine.json"
-)
+OLD_ENGINE_CHECKPOINT = GOLDEN_DIR / "checkpoint_child_process_engine.json"
+
+#: The same window-0 checkpoint written by the code of the inlined
+#: engine while RNG factories still recorded fork keys: once unforked
+#: (an empty ``"forks"`` list) and once after ``session.fork("x")``.
+OLD_RNG_CHECKPOINTS = [
+    GOLDEN_DIR / "checkpoint_rng_forks_field.json",
+    GOLDEN_DIR / "checkpoint_forked_rng.json",
+]
 
 
 def test_restore_refuses_checkpoint_of_older_engine():
@@ -268,76 +276,50 @@ def test_restore_refuses_checkpoint_of_older_engine():
         ReplicaSession.restore(state, keep_records=False)
 
 
-def test_resume_refuses_checkpoint_of_older_engine(tmp_path, capsys):
+@pytest.mark.parametrize("path", OLD_RNG_CHECKPOINTS, ids=lambda p: p.stem)
+def test_restore_refuses_checkpoint_with_fork_fields(path):
+    # RNG state no longer records fork keys, so the replayed state can
+    # never equal one that does: forked or not, the checkpoint is
+    # refused instead of restoring a different random future.
+    with pytest.raises(SnapshotMismatchError, match="diverged"):
+        ReplicaSession.restore(load_snapshot(path), keep_records=False)
+
+
+def test_rng_from_state_refuses_fork_keys():
+    state = load_snapshot(GOLDEN_DIR / "checkpoint_forked_rng.json")["rng"]
+    with pytest.raises(SnapshotFormatError, match="fork keys"):
+        RandomStreams.from_state(state)
+
+
+def _resume_with_checkpoint(tmp_path, capsys, checkpoint: Path) -> str:
+    """``repro resume`` a store torn after window 0 whose window-0
+    checkpoint is ``checkpoint``; the refusal message it exits with."""
     store = tmp_path / "store"
     collect_fleet_to_store(
         directory=store, windows=2, app="gfs", replicas=1, seed=7, n_requests=40
     )
-    # Torn after window 0, with the older engine's window-0 checkpoint.
     (store / shard_dirname(1) / MANIFEST_FILENAME).unlink()
     (store / CHECKPOINT_DIRNAME / "replica-00000.json").write_bytes(
-        OLD_ENGINE_CHECKPOINT.read_bytes()
+        checkpoint.read_bytes()
     )
     capsys.readouterr()
     with pytest.raises(SystemExit) as refused:
         main(["resume", "--out", str(store)])
-    message = str(refused.value.code)
+    assert capsys.readouterr().out == ""
+    return str(refused.value.code)
+
+
+def test_resume_refuses_checkpoint_of_older_engine(tmp_path, capsys):
+    message = _resume_with_checkpoint(tmp_path, capsys, OLD_ENGINE_CHECKPOINT)
     assert "diverged" in message or "ran out of events" in message
     assert "\n" not in message
-    assert capsys.readouterr().out == ""
 
 
-# -- forking ------------------------------------------------------------------
-
-
-def test_fork_determinism_from_shared_checkpoint():
-    base = ReplicaSession(spec_for("gfs"))
-    base.advance_progress(base.total_progress // 2)
-    state = json.loads(json.dumps(base.checkpoint()))
-    shared = stream_dicts(base.traces)
-
-    def branch(key):
-        session = ReplicaSession.restore(state).fork(key)
-        session.run_to_completion()
-        return stream_dicts(session.traces)
-
-    a1, a2, b = branch("alpha"), branch("alpha"), branch("beta")
-    # Same key => bit-identical branch; different key => divergence.
-    assert a1 == a2
-    assert a1 != b
-    # Both branches share the pre-fork history verbatim.
-    for branch_traces in (a1, b):
-        for stream in STREAM_NAMES:
-            done = shared[stream]
-            if stream == "spans":  # open spans mutate (end backfilled)
-                done = [s for s in done if s["end"] == s["end"]]
-                prefix = branch_traces[stream][: len(done)]
-                assert [s["span_id"] for s in prefix] == [
-                    s["span_id"] for s in done
-                ]
-                continue
-            assert branch_traces[stream][: len(done)] == done
-
-
-def test_forked_session_checkpoints_restore():
-    session = ReplicaSession(spec_for("gfs"))
-    session.advance_progress(10)
-    session.fork("branch-a")
-    session.advance_progress(30)
-    state = json.loads(json.dumps(session.checkpoint()))
-    restored = ReplicaSession.restore(state)
-    restored.run_to_completion()
-    session.run_to_completion()
-    assert stream_dicts(restored.traces) == stream_dicts(session.traces)
-    assert rng_json(restored.streams) == rng_json(session.streams)
-
-
-def test_fork_requires_distinct_keys_to_diverge():
-    a = RandomStreams(9).fork("x")
-    b = RandomStreams(9).fork("x")
-    c = RandomStreams(9).fork("y")
-    assert a.get("s").random(3).tolist() == b.get("s").random(3).tolist()
-    assert a.get("s").random(3).tolist() != c.get("s").random(3).tolist()
+@pytest.mark.parametrize("path", OLD_RNG_CHECKPOINTS, ids=lambda p: p.stem)
+def test_resume_refuses_checkpoint_with_fork_fields(tmp_path, capsys, path):
+    message = _resume_with_checkpoint(tmp_path, capsys, path)
+    assert "diverged" in message
+    assert "\n" not in message
 
 
 # -- windowed collection ------------------------------------------------------

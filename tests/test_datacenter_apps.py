@@ -132,15 +132,3 @@ def test_mapreduce_default_jobs_reproducible_per_seed():
     _, c = run_mapreduce_jobs(seed=18)
     assert [r.job.input_bytes for r in a] == [r.job.input_bytes for r in b]
     assert [r.job.input_bytes for r in a] != [r.job.input_bytes for r in c]
-
-
-def test_run_helpers_accept_injected_streams():
-    from repro.simulation import RandomStreams
-
-    jobs = [MapReduceJob("j0", input_bytes=16 << 20, n_map=2, n_reduce=1)]
-    t1, _ = run_mapreduce_jobs(jobs=jobs, streams=RandomStreams(5).spawn("x"))
-    t2, _ = run_mapreduce_jobs(jobs=jobs, streams=RandomStreams(5).spawn("x"))
-    t3, _ = run_mapreduce_jobs(jobs=jobs, streams=RandomStreams(5).spawn("y"))
-    ts1 = [r.completion_time for r in t1.requests]
-    assert ts1 == [r.completion_time for r in t2.requests]
-    assert ts1 != [r.completion_time for r in t3.requests]

@@ -6,8 +6,7 @@ import pytest
 from repro.core import KoozaConfig, KoozaTrainer
 from repro.core.model import KoozaModel
 from repro.core.synthetic import Stage, SyntheticRequest
-from repro.datacenter import GfsSpec, run_gfs_workload
-from repro.datacenter.run import GfsRun
+from repro.datacenter import GfsRun, GfsSpec, run_gfs_workload
 from repro.queueing import MG1, MM1
 from repro.simulation import Environment, SimulationError
 from repro.tracing import READ, TraceSet

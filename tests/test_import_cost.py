@@ -121,8 +121,8 @@ COMMAND_MODULES = {
         datacenter datacenter.devices datacenter.devices.cpu
         datacenter.devices.disk datacenter.devices.memory
         datacenter.devices.nic datacenter.fleet datacenter.gfs
-        datacenter.machine datacenter.mapreduce datacenter.run
-        datacenter.session datacenter.webapp queueing queueing.arrivals
+        datacenter.machine datacenter.mapreduce datacenter.session
+        datacenter.webapp queueing queueing.arrivals
         simulation simulation.checkpoint simulation.engine
         simulation.parallel simulation.resources simulation.rng store
         store.cache store.manifest store.stitch store.writer

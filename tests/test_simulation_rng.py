@@ -164,16 +164,3 @@ def test_buffered_is_memoized_and_shares_the_raw_generator():
     wrapper = streams.buffered("disk")
     assert streams.buffered("disk") is wrapper
     assert wrapper.generator is streams.get("disk")
-
-
-def test_fork_discards_outstanding_buffered_blocks():
-    # fork() reseeds every generator in place; prefetched values drawn
-    # under the old seed must not leak into post-fork draws, and the
-    # stale pre-block state must not be restored over the reseed.
-    forked = RandomStreams(seed=5)
-    hot = forked.buffered("dev")
-    hot.random()  # leaves a mostly-unconsumed block outstanding
-    forked.fork("branch")
-
-    want = RandomStreams(seed=5).fork("branch").get("dev").random()
-    assert hot.random() == want

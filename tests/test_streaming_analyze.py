@@ -10,13 +10,19 @@ and `repro validate --per-class --in` never construct the merged
 source-taking entry points require their trace source.
 """
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core import (
     KoozaTrainer,
     ReplayHarness,
+    WorkloadFeatureStats,
     WorkloadProfileBuilder,
     compare_workloads,
     extract_request_features,
@@ -56,6 +62,7 @@ from repro.tracing import (
     save_traces,
     source_columns,
 )
+from repro.core.features import source_feature_columns
 from repro.tracing.columnar import take_columns
 
 from tests.oracles import (
@@ -64,6 +71,7 @@ from tests.oracles import (
     profile_key,
     reference_request_features,
 )
+from tests.test_columnar_store import _assert_state_close, restore
 
 
 @pytest.fixture(scope="module")
@@ -222,21 +230,103 @@ def test_streaming_profile_equals_batch(store_dir, merged, workers):
     assert "storage:" in streamed.describe()
 
 
-def test_streaming_profile_builder_merge_associative(merged):
+def _draw_parts(data, n: int, n_parts: int) -> list[np.ndarray]:
+    """Row indices of ``n_parts`` contiguous, in-order parts of ``n``
+    rows, cut at arbitrary (possibly coinciding) points."""
+    cuts = sorted(data.draw(
+        st.lists(st.integers(0, n), min_size=n_parts - 1, max_size=n_parts - 1),
+        label="cuts",
+    ))
+    bounds = [0, *cuts, n]
+    return [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _merge_in_order(parts, data):
+    """Merge ``parts`` in shard order, sending the running merge through
+    a JSON ``state()`` round trip after a drawn number of parts."""
+    at = data.draw(st.integers(0, len(parts) - 1), label="round trip at")
+    folded = parts[0]
+    for i, part in enumerate(parts):
+        if i:
+            folded.merge(part)
+        if i == at:
+            folded = restore(folded)
+    return folded
+
+
+@pytest.fixture(scope="module")
+def profile_columns(merged):
+    return {stream: source_columns(merged, stream) for stream in merged.streams()}
+
+
+@pytest.fixture(scope="module")
+def whole_profile(merged, profile_columns):
+    whole = WorkloadProfileBuilder()
+    for stream, cols in profile_columns.items():
+        whole.update_batch(stream, cols)
+    assert whole.profile() == profile_from_traces(merged)
+    return whole.profile()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_streaming_profile_builder_merge_associative(
+    profile_columns, whole_profile, data
+):
     # The merge contract covers contiguous, in-order partitions of each
     # stream (what shards are) — seam-aware accumulators like SeekStats
     # depend on record adjacency.
-    whole = WorkloadProfileBuilder()
-    parts = [WorkloadProfileBuilder() for _ in range(3)]
-    for stream in merged.streams():
-        cols = source_columns(merged, stream)
-        whole.update_batch(stream, cols)
-        bounds = np.linspace(0, cols["n"], 4).astype(int)
-        for part, lo, hi in zip(parts, bounds, bounds[1:]):
-            part.update_batch(stream, take_columns(cols, np.arange(lo, hi)))
-    parts[0].merge(parts[1]).merge(parts[2])
-    assert parts[0].profile() == whole.profile()
-    assert parts[0].profile() == profile_from_traces(merged)
+    n_parts = data.draw(st.integers(1, 8), label="parts")
+    parts = [WorkloadProfileBuilder() for _ in range(n_parts)]
+    for stream, cols in profile_columns.items():
+        for part, rows in zip(parts, _draw_parts(data, cols["n"], n_parts)):
+            part.update_batch(stream, take_columns(cols, rows))
+    folded = asdict(_merge_in_order(parts, data).profile())
+    whole = asdict(whole_profile)
+    # CPU busy time in a window that straddles a seam is a float sum
+    # taken in merge order: 1e-9 relative, every other field exact.
+    for key in ("mean_utilization", "peak_utilization"):
+        assert folded["cpu"].pop(key) == pytest.approx(
+            whole["cpu"].pop(key), rel=1e-9
+        )
+    assert folded == whole
+
+
+def _without_moments(state):
+    """``state`` with every (co-)moments accumulator blanked out: the
+    part of a WorkloadFeatureStats state that merges exactly."""
+    if isinstance(state, dict):
+        if state.get("kind") in ("moments", "co-moments"):
+            return None
+        return {key: _without_moments(value) for key, value in state.items()}
+    if isinstance(state, list):
+        return [_without_moments(value) for value in state]
+    return state
+
+
+@pytest.fixture(scope="module")
+def feature_columns(merged):
+    return source_feature_columns(merged)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_workload_feature_stats_merge_associative(feature_columns, data):
+    # Latency buffers, op counts and n merge exactly; the Chan-merged
+    # moments and co-moments within 1e-9 relative.
+    whole = WorkloadFeatureStats.from_feature_columns(feature_columns).state()
+    n_parts = data.draw(st.integers(1, 8), label="parts")
+    parts = [
+        WorkloadFeatureStats.from_feature_columns(
+            take_columns(feature_columns, rows)
+        )
+        for rows in _draw_parts(data, feature_columns["n"], n_parts)
+    ]
+    folded = _merge_in_order(parts, data).state()
+    assert json.dumps(_without_moments(folded), sort_keys=True) == json.dumps(
+        _without_moments(whole), sort_keys=True
+    )
+    _assert_state_close(folded, whole)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
