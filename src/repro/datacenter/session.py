@@ -114,7 +114,6 @@ class SessionParts:
     streams: RandomStreams
     tracer: Tracer
     cluster: Any
-    client: Optional[OpenLoopClient]
     #: Progress denominator: requests to complete (gfs/webapp) or jobs
     #: to finish (mapreduce).
     total_progress: int
@@ -143,9 +142,10 @@ def build_gfs_session(
     mix = mix_factory(streams.get("workload/mix"))
     if arrivals is None:
         arrivals = PoissonArrivals(arrival_rate, streams.buffered("workload/arrivals"))
-    client = OpenLoopClient(env, cluster.client_request, mix.make_request, arrivals)
-    client.start(n_requests)
-    return SessionParts(env, streams, tracer, cluster, client, n_requests)
+    OpenLoopClient(env, cluster.client_request, mix.make_request, arrivals).start(
+        n_requests
+    )
+    return SessionParts(env, streams, tracer, cluster, n_requests)
 
 
 def build_webapp_session(
@@ -156,14 +156,13 @@ def build_webapp_session(
     cluster = WebAppCluster(env, WebAppSpec(), streams, tracer)
     request_rng = streams.get("workload/requests")
     arrivals = PoissonArrivals(arrival_rate, streams.buffered("workload/arrivals"))
-    client = OpenLoopClient(
+    OpenLoopClient(
         env,
         cluster.client_request,
         lambda: cluster.make_request(request_rng),
         arrivals,
-    )
-    client.start(n_requests)
-    return SessionParts(env, streams, tracer, cluster, client, n_requests)
+    ).start(n_requests)
+    return SessionParts(env, streams, tracer, cluster, n_requests)
 
 
 def build_mapreduce_session(
@@ -183,7 +182,7 @@ def build_mapreduce_session(
             yield env.process(cluster.run_job(job))
 
     env.process(driver(env))
-    return SessionParts(env, streams, tracer, cluster, None, len(jobs))
+    return SessionParts(env, streams, tracer, cluster, len(jobs))
 
 
 # -- one-call drivers ---------------------------------------------------------
@@ -320,7 +319,6 @@ class ReplicaSession:
         self.streams = parts.streams
         self.tracer = parts.tracer
         self.cluster = parts.cluster
-        self.client = parts.client
         self.total_progress = parts.total_progress
 
     # -- driving -------------------------------------------------------------

@@ -35,6 +35,7 @@ from .._version import tool_version
 from ..store.analyze import validate_per_class
 from ..store.shards import ShardStore, is_shard_store, shifter_for
 from ..store.training import load_per_class_models
+from ..tracing.store import iter_directory_records
 from .drift import DriftBaseline, DriftMonitor, DriftThresholds
 from .ingest import IngestServer, IngestSink
 from .metrics import MetricsRegistry
@@ -181,12 +182,7 @@ class ServeDaemon:
             or resident.max_quantile_values != self.config.max_quantile_values
         ):
             return
-        from ..store.watch import take_snapshot
-
-        snapshot = take_snapshot(
-            self.directory,
-            complete_rounds_only=self.config.complete_rounds_only,
-        )
+        snapshot = self.watcher.refresh()
         if not resident.matches_prefix(snapshot.manifests):
             return
         with self._lock:
@@ -252,11 +248,13 @@ class ServeDaemon:
     def _feed_drift(self, result: PollResult) -> None:
         if self.monitor is None:
             return
-        store = ShardStore(self.directory)
+        snapshot = result.snapshot
         for manifest in result.folded:
-            offsets = result.snapshot.offsets[manifest.index]
-            shift = shifter_for("requests", offsets)
-            for record in store.iter_shard_stream(manifest, "requests"):
+            shift = shifter_for("requests", snapshot.offsets[manifest.index])
+            records = iter_directory_records(
+                snapshot.dirs[manifest.index], "requests"
+            )
+            for record in records:
                 self.monitor.observe(shift(record))
         report = self.monitor.check()
         self._publish_drift(report)

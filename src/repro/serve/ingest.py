@@ -19,9 +19,11 @@ file and all — so the watcher folds it exactly like an appended
 ``repro append`` round and batch tools never know the difference.
 
 Concurrency: the sink serializes its own connections (records and
-commits) under one lock, and shard/round slots are re-scanned from the
-manifests at every shard open, so ingest interleaved with batch
-``repro append`` rounds that complete *between* ingest shards is safe.
+commits) under one lock.  At every shard open it lists the store and
+reads the manifest of each shard directory it has not seen before (its
+own shards it knows from their commits), so shard/round slots account
+for batch ``repro append`` rounds that complete *between* ingest
+shards, and a shard open costs one listing plus the new manifests.
 A batch append racing an ingest shard that is already **open** is not
 coordinated — both writers may claim the same round number.  Round
 files merge rather than overwrite, so neither writer's shards are
@@ -32,12 +34,18 @@ daemon is actively ingesting into it.
 from __future__ import annotations
 
 import json
+import os
 import socketserver
 import threading
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
 
-from ..store.manifest import ShardManifest, shard_manifest_paths, write_round_file
+from ..store.manifest import (
+    MANIFEST_FILENAME,
+    ShardManifest,
+    parse_shard_index,
+    write_round_file,
+)
 from ..store.writer import ShardWriter, shard_dirname
 from ..tracing.store import STREAM_TYPES
 
@@ -76,26 +84,49 @@ class IngestSink:
         # shard that claimed it (e.g. a manifest mid-finalize).
         self._reserved_index = 0
         self._reserved_round = 0
+        # Shard directories whose manifest the sink has read (or
+        # written), and the highest index and round among them.
+        self._seen: set[str] = set()
+        self._max_index = -1
+        self._max_round = -1
+
+    def _see(self, name: str, manifest: ShardManifest) -> None:
+        self._seen.add(name)
+        self._max_index = max(self._max_index, manifest.index)
+        self._max_round = max(self._max_round, manifest.round)
 
     def _next_slots(self) -> tuple[int, int]:
         """Next free (shard index, round index), caller holds the lock.
 
-        Re-scanned at each shard open so batch ``repro append`` rounds
-        completed *between* ingest shards are accounted for, floored by
-        the sink's own reservations so an ingest slot is never handed
-        out twice.  A batch append racing an *open* ingest shard is not
-        coordinated here (see the module docstring); the round-file
-        merge in :func:`repro.store.manifest.write_round_file` keeps
-        even that case from delisting either writer's shards.
+        Reads the manifests of shard directories not seen before, so
+        batch ``repro append`` rounds completed *between* ingest shards
+        are accounted for; a directory still without a manifest is
+        looked at again next time.  Floored by the sink's own
+        reservations so an ingest slot is never handed out twice.  A
+        batch append racing an *open* ingest shard is not coordinated
+        here (see the module docstring); the round-file merge in
+        :func:`repro.store.manifest.write_round_file` keeps even that
+        case from delisting either writer's shards.
         """
-        max_index = -1
-        max_round = -1
-        for path in shard_manifest_paths(self.directory):
-            manifest = ShardManifest.load(path)
-            max_index = max(max_index, manifest.index)
-            max_round = max(max_round, manifest.round)
-        index = max(max_index + 1, self._reserved_index)
-        round_index = max(max_round + 1, self._reserved_round)
+        if self.directory.is_dir():
+            with os.scandir(self.directory) as entries:
+                unseen = [
+                    entry
+                    for entry in entries
+                    if entry.name not in self._seen
+                    and parse_shard_index(entry.name) is not None
+                    and entry.is_dir()
+                ]
+            for entry in unseen:
+                try:
+                    manifest = ShardManifest.load(
+                        Path(entry.path) / MANIFEST_FILENAME
+                    )
+                except FileNotFoundError:
+                    continue  # shard still being written
+                self._see(entry.name, manifest)
+        index = max(self._max_index + 1, self._reserved_index)
+        round_index = max(self._max_round + 1, self._reserved_round)
         self._reserved_index = index + 1
         self._reserved_round = round_index + 1
         return index, round_index
@@ -135,9 +166,9 @@ class IngestSink:
 
         The sink lock is held across ``finalize`` and the round-file
         write: until the finalizing shard's manifest is on disk, a
-        concurrent :meth:`write_record` re-scanning manifests would
-        otherwise allocate the *same* shard index and open a second
-        writer on the directory still being closed and hashed.  Commits
+        concurrent :meth:`write_record` opening the next shard could
+        otherwise claim the *same* shard index and open a second writer
+        on the directory still being closed and hashed.  Commits
         are rare; blocking writers for one finalize is the cheap,
         correct trade.
         """
@@ -148,6 +179,7 @@ class IngestSink:
             self._writer = None
             manifest = writer.finalize(max(duration, writer.extent))
             write_round_file(self.directory, manifest.round, [manifest.index])
+            self._see(writer.directory.name, manifest)
         return manifest
 
     def close(self) -> Optional[ShardManifest]:

@@ -1,7 +1,8 @@
 """Store watcher: fold newly appended shards into resident accumulators.
 
-Polls :func:`repro.store.take_snapshot` and folds whatever complete,
-contiguous shards appeared beyond the resident prefix.  Per-shard
+Polls :func:`repro.store.take_snapshot`, incrementally over the
+previous poll's snapshot, and folds whatever complete, contiguous
+shards appeared beyond the resident prefix.  Per-shard
 results come from :func:`repro.store.analyze.analyze_shards`, the same
 cached lookup the batch path uses, so:
 
@@ -53,6 +54,17 @@ class StoreWatcher:
         self.directory = Path(directory)
         self.cache = cache
         self.complete_rounds_only = complete_rounds_only
+        #: The last snapshot taken; the next one reads only what changed.
+        self.snapshot: Optional[StoreSnapshot] = None
+
+    def refresh(self) -> StoreSnapshot:
+        """Take (and keep) a snapshot, incremental over the last one."""
+        self.snapshot = take_snapshot(
+            self.directory,
+            complete_rounds_only=self.complete_rounds_only,
+            previous=self.snapshot,
+        )
+        return self.snapshot
 
     def poll(
         self,
@@ -65,9 +77,7 @@ class StoreWatcher:
         the daemon uses it to feed the drift window and metrics.
         """
         start = time.perf_counter()
-        snapshot = take_snapshot(
-            self.directory, complete_rounds_only=self.complete_rounds_only
-        )
+        snapshot = self.refresh()
         if snapshot.n_shards < len(resident.folded):
             raise StoreShrunkError(
                 f"store {self.directory} has {snapshot.n_shards} foldable "

@@ -55,6 +55,7 @@ from .cache import (
     save_analysis_cache,
     shard_content_hash,
 )
+from .manifest import ShardManifest
 from .shards import ShardStore
 from .stitch import StitchOffsets
 
@@ -97,10 +98,15 @@ def class_rng(seed: int, request_class: str) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ShardAnalysisTask:
-    """One worker's share: fold one shard through the accumulators."""
+    """One worker's share: fold one shard through the accumulators.
+
+    The task carries the shard's manifest and directory, so a worker
+    reads that shard's streams and nothing else of the store.
+    """
 
     directory: str
-    shard_index: int
+    manifest: ShardManifest
+    shard_dir: str
     offsets: StitchOffsets
     window: float = 0.25
     cores: int = 8
@@ -177,10 +183,8 @@ def analyze_shard(task: ShardAnalysisTask):
     decode once and pivot; both then run :func:`_fold_columns`, so
     analyses over the two codecs are byte-identical.
     """
-    store = ShardStore(task.directory)
-    manifest = next(
-        m for m in store.manifests if m.index == task.shard_index
-    )
+    manifest = task.manifest
+    store = ShardStore.for_shard(task.directory, manifest, task.shard_dir)
     return _fold_columns(
         lambda stream, names: store.load_shard_stream_columns(
             manifest, stream, names
@@ -230,8 +234,10 @@ def analyze_shards(
                 continue
         pending.append((position, manifest, shard_dir, offsets, content_hash))
     tasks = [
-        ShardAnalysisTask(str(store_dir), manifest.index, offsets, **params)
-        for _, manifest, _, offsets, _ in pending
+        ShardAnalysisTask(
+            str(store_dir), manifest, str(shard_dir), offsets, **params
+        )
+        for _, manifest, shard_dir, offsets, _ in pending
     ]
     folded = run_sharded(analyze_shard, tasks, workers)
     for (position, manifest, shard_dir, offsets, content_hash), result in zip(

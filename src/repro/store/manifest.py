@@ -61,6 +61,7 @@ __all__ = [
     "load_store_index",
     "load_store_rounds",
     "parse_shard_index",
+    "read_round_file",
     "round_filename",
     "shard_manifest_paths",
     "write_round_file",
@@ -266,13 +267,18 @@ def load_store_rounds(directory: str | Path) -> dict[int, list[int]]:
     Single-round stores written before rounds existed have no round
     files; callers treat every shard as round 0 in that case.
     """
-    rounds: dict[int, list[int]] = {}
-    for path in sorted(Path(directory).glob("round-*.json")):
-        data = json.loads(path.read_text())
-        if data.get("format") != ROUND_FORMAT:
-            raise ValueError(f"{path} is not a store round file")
-        rounds[int(data["round"])] = [int(i) for i in data["shards"]]
-    return rounds
+    return dict(
+        read_round_file(path)
+        for path in sorted(Path(directory).glob("round-*.json"))
+    )
+
+
+def read_round_file(path: str | Path) -> tuple[int, list[int]]:
+    """One ``round-*.json`` file as ``(round index, shard indices)``."""
+    data = json.loads(Path(path).read_text())
+    if data.get("format") != ROUND_FORMAT:
+        raise ValueError(f"{path} is not a store round file")
+    return int(data["round"]), [int(i) for i in data["shards"]]
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,21 @@ class ShardStore:
         self.manifests = manifests
         self._shard_dirs = shard_dirs
 
+    @classmethod
+    def for_shard(
+        cls, directory: str | Path, manifest: ShardManifest, shard_dir: str | Path
+    ) -> "ShardStore":
+        """A one-shard view from a manifest already read.
+
+        Opening it reads nothing, so a worker that folds one shard of a
+        large store does not load every manifest to find its own.
+        """
+        store = cls.__new__(cls)
+        store.directory = Path(directory)
+        store.manifests = [manifest]
+        store._shard_dirs = {manifest.index: Path(shard_dir)}
+        return store
+
     # -- metadata ------------------------------------------------------------
 
     def __len__(self) -> int:

@@ -24,24 +24,58 @@ That is the daemon's default — the resident profile then moves in
 whole-round steps instead of churning mid-append.  Stores that predate
 round files have no round records at all; every complete shard is
 visible there.
+
+Snapshots are incremental.  Pass the previous snapshot as ``previous``
+and a poll costs one listing of the store root plus:
+
+* a manifest read for each shard directory past the previous prefix
+  (prefix manifests are reused while their directory keeps its name
+  and inode: finalized shards are write-once);
+* a ``stat`` of each round file and ``index.json``, re-read only when
+  its ``(st_ino, st_mtime_ns, st_size)`` changed.
+
+A snapshot without ``previous`` is the cold case of the same code: it
+reads every manifest and record file.  Either way the result equals a
+fresh snapshot of the store as it stands, as long as finalized shards
+are not edited in place.  A prefix shard directory deleted and
+recreated between two snapshots is noticed unless the filesystem hands
+the new directory the old one's inode number, which ext4 may do.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
+from fnmatch import fnmatchcase
 from pathlib import Path
-from typing import Optional
+from typing import Any, Mapping, NamedTuple, Optional
 
 from .manifest import (
+    STORE_INDEX_FILENAME,
     ShardManifest,
-    load_store_index,
-    load_store_rounds,
+    StoreIndex,
     parse_shard_index,
+    read_round_file,
 )
 from .stitch import StitchOffsets, offsets_for
 
 __all__ = ["StoreSnapshot", "take_snapshot"]
+
+#: ``(st_ino, st_mtime_ns, st_size)``: a record file is re-read only
+#: when this changes.  Writers replace round files by rename (a new
+#: inode) and ``compact_store`` rewrites ``index.json`` in place.
+_FileKey = tuple[int, int, int]
+
+
+class _Shard(NamedTuple):
+    """A listed shard directory; ``manifest`` is None while incomplete."""
+
+    name: str
+    index: int
+    inode: int
+    path: Path
+    manifest: Optional[ShardManifest]
 
 
 @dataclass(frozen=True)
@@ -61,6 +95,16 @@ class StoreSnapshot:
     #: Shard directory per prefix entry (pad width varies across eras).
     dirs: tuple[Path, ...]
     pending: tuple[int, ...]
+    #: What the next incremental snapshot reuses, left out of equality
+    #: so an incremental snapshot equals a cold one: the prefix shards
+    #: by directory name, and the parsed round files and ``index.json``
+    #: by file name as ``(key, contents)``.
+    prefix: Mapping[str, _Shard] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+    records: Mapping[str, tuple[_FileKey, Any]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @property
     def n_shards(self) -> int:
@@ -88,62 +132,126 @@ def _load_manifest(shard_dir: Path) -> Optional[ShardManifest]:
         return None
 
 
-def _recorded_shards(directory: Path) -> Optional[frozenset[int]]:
-    """Shard indices listed by round files / the compacted index.
+def _read_round(path: str) -> Optional[tuple[int, list[int]]]:
+    """A round file's ``(round, shards)``, or None when unreadable."""
+    try:
+        return read_round_file(path)
+    except (OSError, ValueError):
+        return None
 
-    ``None`` when the store has no round records at all (legacy
-    single-round store) — round gating does not apply there.
+
+def _read_index(path: str) -> StoreIndex:
+    return StoreIndex.from_dict(json.loads(Path(path).read_text()))
+
+
+def _recorded_shards(
+    index: Optional[StoreIndex], rounds: list[Optional[tuple[int, list[int]]]]
+) -> Optional[frozenset[int]]:
+    """Shard indices listed by the round files / the compacted index.
+
+    ``rounds`` holds the parsed round files in name order.  ``None``
+    when the store has no round records at all (legacy single-round
+    store) — round gating does not apply there.  One unreadable round
+    file discards every round file, and a round number that two files
+    claim keeps the later file's shards.
     """
     recorded: set[int] = set()
     seen_any = False
-    index = load_store_index(directory)
     if index is not None:
         seen_any = True
         for shards in index.rounds.values():
             recorded.update(shards)
-    try:
-        rounds = load_store_rounds(directory)
-    except (OSError, ValueError, json.JSONDecodeError):
-        rounds = {}
-    if rounds:
+    by_round = dict(rounds) if None not in rounds else {}
+    if by_round:
         seen_any = True
-        for shards in rounds.values():
+        for shards in by_round.values():
             recorded.update(shards)
     return frozenset(recorded) if seen_any else None
 
 
 def take_snapshot(
-    directory: str | Path, complete_rounds_only: bool = False
+    directory: str | Path,
+    complete_rounds_only: bool = False,
+    previous: Optional[StoreSnapshot] = None,
 ) -> StoreSnapshot:
-    """Snapshot the foldable contiguous prefix of a (growing) store."""
+    """Snapshot the foldable contiguous prefix of a (growing) store.
+
+    With ``previous`` (an earlier snapshot of the same directory) the
+    prefix manifests and unchanged record files it read are reused;
+    see the module docstring.
+    """
     directory = Path(directory)
-    dirs: dict[int, Path] = {}
-    for path in directory.glob("shard-*"):
-        index = parse_shard_index(path.name)
-        if index is not None and path.is_dir():
-            dirs[index] = path
-    visible = _recorded_shards(directory) if complete_rounds_only else None
+    if previous is None or previous.directory != directory:
+        previous = StoreSnapshot(directory, (), (), (), ())
 
-    loaded: dict[int, Optional[ShardManifest]] = {}
-    for index, path in dirs.items():
-        manifest = _load_manifest(path)
-        if manifest is not None and visible is not None and index not in visible:
-            manifest = None  # complete but its round record isn't written yet
-        loaded[index] = manifest
+    shards: dict[int, _Shard] = {}
+    record_entries: list[os.DirEntry] = []
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            name = entry.name
+            known = previous.prefix.get(name)
+            if known is not None and known.inode == entry.inode() and entry.is_dir():
+                shards[known.index] = known
+            elif name.startswith("shard-"):
+                index = parse_shard_index(name)
+                if index is not None and entry.is_dir():
+                    path = Path(entry.path)
+                    shards[index] = _Shard(
+                        name, index, entry.inode(), path, _load_manifest(path)
+                    )
+            elif complete_rounds_only and (
+                name == STORE_INDEX_FILENAME or fnmatchcase(name, "round-*.json")
+            ):
+                record_entries.append(entry)
 
-    manifests: list[ShardManifest] = []
-    while loaded.get(len(manifests)) is not None:
-        manifests.append(loaded[len(manifests)])  # type: ignore[arg-type]
+    records: dict[str, tuple[_FileKey, Any]] = {}
+    for entry in sorted(record_entries, key=lambda e: e.name):
+        try:
+            stat = entry.stat()
+        except FileNotFoundError:
+            continue  # removed since the listing (compact_store)
+        key = (stat.st_ino, stat.st_mtime_ns, stat.st_size)
+        known_record = previous.records.get(entry.name)
+        if known_record is not None and known_record[0] == key:
+            records[entry.name] = known_record
+        elif entry.name == STORE_INDEX_FILENAME:
+            records[entry.name] = (key, _read_index(entry.path))
+        else:
+            records[entry.name] = (key, _read_round(entry.path))
+    visible = None
+    if complete_rounds_only:
+        index_record = records.get(STORE_INDEX_FILENAME)
+        visible = _recorded_shards(
+            None if index_record is None else index_record[1],
+            [
+                contents
+                for name, (_, contents) in records.items()
+                if name != STORE_INDEX_FILENAME
+            ],
+        )
+
+    def foldable(index: int) -> bool:
+        shard = shards.get(index)
+        return (
+            shard is not None
+            and shard.manifest is not None
+            and (visible is None or index in visible)
+        )
+
+    n_prefix = 0
+    while foldable(n_prefix):
+        n_prefix += 1
+    prefix = [shards[index] for index in range(n_prefix)]
+    manifests = tuple(shard.manifest for shard in prefix)
     pending = tuple(
-        index
-        for index in sorted(dirs)
-        if index >= len(manifests) and loaded[index] is not None
+        index for index in sorted(shards) if index >= n_prefix and foldable(index)
     )
-    offsets = offsets_for([m.stitch_part() for m in manifests])
     return StoreSnapshot(
         directory=directory,
-        manifests=tuple(manifests),
-        offsets=tuple(offsets),
-        dirs=tuple(dirs[m.index] for m in manifests),
+        manifests=manifests,  # type: ignore[arg-type]
+        offsets=tuple(offsets_for([m.stitch_part() for m in manifests])),
+        dirs=tuple(shard.path for shard in prefix),
         pending=pending,
+        prefix={shard.name: shard for shard in prefix},
+        records=records,
     )

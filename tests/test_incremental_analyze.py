@@ -346,7 +346,7 @@ def test_workers_spawn_only_for_the_new_round(cached_store, monkeypatch):
     real = analyze_mod.analyze_shard
 
     def counting(task):
-        calls.append(task.shard_index)
+        calls.append(task.manifest.index)
         return real(task)
 
     monkeypatch.setattr(analyze_mod, "analyze_shard", counting)

@@ -25,6 +25,7 @@ import threading
 import urllib.error
 import urllib.request
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -50,14 +51,16 @@ from repro.serve import (
 )
 from repro.serve.watcher import StoreShrunkError
 from repro.store import (
+    ShardManifest,
     ShardStore,
     analyze_source,
+    compact_store,
     load_store_rounds,
     take_snapshot,
     write_round_file,
 )
 from repro.store.analyze import reduce_source
-from repro.store.writer import ShardWriter
+from repro.store.writer import ShardWriter, shard_dirname
 from repro.tracing.records import RequestRecord
 
 SPEC = dict(app="gfs", n_requests=120, replicas=2, seed=7)
@@ -588,6 +591,222 @@ def test_serve_state_concurrent_saves_never_tear(store, tmp_path):
     restored = ServeState.load(path)  # parses: no torn checkpoint
     assert restored.resident.builder.state() == resident.builder.state()
     assert not list(tmp_path.glob("ck.json.*"))  # no leaked temp files
+
+
+# -- incremental snapshots and manifest load counts --------------------------
+
+
+def _count_manifest_loads(monkeypatch) -> list:
+    """Record the manifest path of every ``ShardManifest.load`` call."""
+    loads = []
+    original = ShardManifest.load.__func__
+
+    def counting(cls, path):
+        path = Path(path)
+        loads.append(path if path.name == "manifest.json" else path / "manifest.json")
+        return original(cls, path)
+
+    monkeypatch.setattr(ShardManifest, "load", classmethod(counting))
+    return loads
+
+
+def _open_tiny_shard(store, index, round_index):
+    """A shard directory with one request written and no manifest yet."""
+    writer = ShardWriter(
+        store / shard_dirname(index), index=index, app="ingest", round=round_index
+    )
+    writer.write("requests", RequestRecord.from_dict(_live_record(index)))
+    return writer
+
+
+def _reducer_json(reducer) -> str:
+    # JSON text, so NaN compares equal to NaN.
+    return json.dumps(reducer.state(), sort_keys=True)
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_incremental_snapshot_equals_fresh(tmp_path_factory, data):
+    """Random store events: an incremental snapshot equals a fresh one.
+
+    Shards open (directory, no manifest), finalize out of order, get
+    torn manifests, are listed by written and merged round files, are
+    compacted into ``index.json``, and prefix shards disappear or are
+    replaced by a new directory of the same name.  After every event
+    the incremental snapshot (gated and ungated) equals a fresh one,
+    and the watcher either folds up to the gated prefix or raises
+    :class:`StoreShrunkError` because a folded shard is gone.
+    """
+    store = tmp_path_factory.mktemp("events") / "traces"
+    store.mkdir()
+    staging = store.parent / "staging"
+    staging.mkdir()
+    replaced = False
+    writers: dict[int, tuple] = {}  # open shard index -> (writer, round)
+    rounds: dict[int, int] = {}  # every live shard index -> round
+    torn: set[int] = set()
+    next_index = 0
+    previous = {False: None, True: None}
+    watcher = StoreWatcher(store, cache=False)
+    resident = ResidentAnalysis()
+    events = st.sampled_from(
+        ["open", "finalize", "round", "tear", "compact", "remove", "replace"]
+    )
+    for _ in range(data.draw(st.integers(5, 30), label="events")):
+        event = data.draw(events, label="event")
+        if event == "open":
+            round_index = data.draw(
+                st.integers(0, max(rounds.values(), default=-1) + 1),
+                label="round",
+            )
+            writers[next_index] = (
+                _open_tiny_shard(store, next_index, round_index),
+                round_index,
+            )
+            rounds[next_index] = round_index
+            next_index += 1
+        elif event == "finalize" and writers:
+            index = data.draw(st.sampled_from(sorted(writers)), label="shard")
+            writer, _ = writers.pop(index)
+            writer.finalize()
+            torn.discard(index)
+        elif event == "round" and rounds:
+            round_index = data.draw(
+                st.sampled_from(sorted(set(rounds.values()))), label="round"
+            )
+            members = sorted(i for i, r in rounds.items() if r == round_index)
+            listed = data.draw(
+                st.lists(st.sampled_from(members), min_size=1, unique=True),
+                label="listed",
+            )
+            write_round_file(store, round_index, listed)
+        elif event == "tear" and writers:
+            index = data.draw(st.sampled_from(sorted(writers)), label="shard")
+            (store / shard_dirname(index) / "manifest.json").write_text(
+                '{"index": %d, "app' % index
+            )
+            torn.add(index)
+        elif event == "compact" and not torn:
+            compact_store(store)
+        elif event in ("remove", "replace"):
+            prefix = take_snapshot(store).manifests
+            if prefix:
+                index = data.draw(
+                    st.sampled_from([m.index for m in prefix]), label="shard"
+                )
+                if event == "remove":
+                    shutil.rmtree(store / shard_dirname(index))
+                    del rounds[index]
+                else:
+                    # Same name, new content.  Staged before the removal,
+                    # so the new directory cannot take over the removed
+                    # one's inode (the snapshot's reuse key).
+                    staged = _open_tiny_shard(staging, index, rounds[index])
+                    staged.write("requests", RequestRecord.from_dict(_live_record(0)))
+                    staged.finalize()
+                    shutil.rmtree(store / shard_dirname(index))
+                    (staging / shard_dirname(index)).rename(
+                        store / shard_dirname(index)
+                    )
+                    replaced = True
+        for gated in (False, True):
+            previous[gated] = take_snapshot(store, gated, previous=previous[gated])
+            assert previous[gated] == take_snapshot(store, gated)
+        fresh = take_snapshot(store, complete_rounds_only=True)
+        try:
+            watcher.poll(resident)
+        except StoreShrunkError:
+            assert fresh.n_shards < len(resident.folded)
+        else:
+            assert watcher.snapshot == fresh
+            assert len(resident.folded) == fresh.n_shards
+            # The watcher counts folded shards; it does not notice a
+            # folded shard replaced in place.
+            assert replaced or resident.matches_prefix(fresh.manifests)
+
+
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(ops=st.lists(st.sampled_from(["ingest", "append"]), min_size=1, max_size=6))
+def test_ingest_never_reuses_a_slot_between_batch_appends(tmp_path_factory, ops):
+    store = tmp_path_factory.mktemp("interleave") / "traces"
+    collect_fleet_to_store(
+        FleetSpec(app="webapp", replicas=1, n_requests=8, seed=99), store
+    )
+    sink = IngestSink(store)
+    for number, op in enumerate(ops):
+        before = ShardStore(store).manifests
+        if op == "ingest":
+            sink.write_record("requests", _live_record(number))
+            manifest = sink.commit()
+            assert manifest.index not in {m.index for m in before}
+            assert manifest.round > max((m.round for m in before), default=-1)
+        else:
+            collect_fleet_to_store(
+                FleetSpec(app="webapp", replicas=1, n_requests=8, seed=number),
+                store,
+                append=True,
+            )
+    final = ShardStore(store)
+    assert [m.index for m in final.manifests] == list(range(len(final)))
+    assert final.verify() == {}
+
+
+def test_daemon_commit_loads_one_manifest_per_new_shard(store, monkeypatch):
+    """A commit reads its own new shard's manifest, whatever the store size.
+
+    The first ingest shard open lists the store cold; after it, each
+    commit-and-fold loads exactly one manifest, on a 2-shard store and
+    again once the store has grown to 10 shards, and the resident
+    reducer still equals a batch ``reduce_source`` after every fold.
+    """
+    for appends in (0, 2):
+        for _ in range(appends):
+            _append_round(store)
+        daemon = ServeDaemon(
+            store, ServeConfig(port=0, poll_interval=0, ingest_port=0)
+        ).start()
+        try:
+            with socket.create_connection(daemon.ingest.address) as conn:
+                reader = conn.makefile("r")
+                for number in range(4):
+                    loads = _count_manifest_loads(monkeypatch)
+                    for i in range(3):
+                        message = {
+                            "stream": "requests",
+                            "record": _live_record(100 * number + i),
+                        }
+                        conn.sendall((json.dumps(message) + "\n").encode())
+                    conn.sendall(b'{"commit": true}\n')
+                    ack = json.loads(reader.readline())
+                    assert ack["ok"] is True
+                    if number:  # the first shard open is the sink's cold scan
+                        shard = store / shard_dirname(ack["shard"])
+                        assert loads == [shard / "manifest.json"]
+                    monkeypatch.undo()
+                    batch, _, _ = reduce_source(str(store))
+                    assert _reducer_json(daemon.resident.reducer) == _reducer_json(
+                        batch
+                    )
+        finally:
+            daemon.shutdown()
+
+
+def test_reduce_source_loads_each_manifest_once(store, monkeypatch):
+    _append_round(store)
+    _append_round(store)
+    manifests = sorted(map(str, store.glob("shard-*/manifest.json")))
+    assert len(manifests) == 6
+    loads = _count_manifest_loads(monkeypatch)
+    reduce_source(str(store))
+    assert sorted(map(str, loads)) == manifests
 
 
 # -- CLI satellites ----------------------------------------------------------

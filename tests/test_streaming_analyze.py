@@ -63,6 +63,7 @@ from repro.tracing import (
     source_columns,
 )
 from repro.core.features import source_feature_columns
+from repro.store.analyze import AnalysisReducer, analyze_shards, reduce_source
 from repro.tracing.columnar import take_columns
 
 from tests.oracles import (
@@ -327,6 +328,80 @@ def test_workload_feature_stats_merge_associative(feature_columns, data):
         _without_moments(whole), sort_keys=True
     )
     _assert_state_close(folded, whole)
+
+
+@pytest.fixture(scope="module")
+def windowed_store(tmp_path_factory):
+    """Nine shards: three replicas, each split into three windows."""
+    directory = tmp_path_factory.mktemp("wstore")
+    collect_fleet_to_store(
+        FleetSpec(app="gfs", replicas=3, seed=6, n_requests=60),
+        directory=directory,
+        windows=3,
+    )
+    return directory
+
+
+@pytest.fixture(scope="module")
+def shard_triples(windowed_store):
+    """Per-shard ``(builder, features, per_class)`` states, in shard order."""
+    store = ShardStore(windowed_store)
+    shards = [
+        (manifest, store.shard_dir(manifest), offsets)
+        for manifest, offsets in zip(store.manifests, store.offsets())
+    ]
+    triples, _, _ = analyze_shards(
+        store.directory, shards, AnalysisReducer().params
+    )
+    return [
+        (builder.state(), features.state(), {c: s.state() for c, s in per_class.items()})
+        for builder, features, per_class in triples
+    ]
+
+
+@pytest.fixture(scope="module")
+def one_shot_reduce(windowed_store):
+    reducer, _, _ = reduce_source(str(windowed_store))
+    return reducer
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_analysis_reducer_split_folds_equal_one_shot(
+    shard_triples, one_shot_reduce, data
+):
+    # The shard triples, cut into 1-8 contiguous parts, each part folded
+    # by its own reducer, and the parts folded in order into one reducer
+    # that takes a JSON state() round trip after a drawn part.
+    whole = one_shot_reduce
+    n_parts = data.draw(st.integers(1, 8), label="parts")
+    parts = []
+    for rows in _draw_parts(data, len(shard_triples), n_parts):
+        part = AnalysisReducer()
+        for row in rows:
+            builder, features, per_class = shard_triples[row]
+            part.fold(
+                WorkloadProfileBuilder.from_state(builder),
+                WorkloadFeatureStats.from_state(features),
+                {c: WorkloadFeatureStats.from_state(s) for c, s in per_class.items()},
+            )
+        parts.append(part)
+    at = data.draw(st.integers(0, n_parts - 1), label="round trip at")
+    folded = AnalysisReducer()
+    for i, part in enumerate(parts):
+        folded.fold(part.builder, part.features, part.per_class)
+        if i == at:
+            folded = restore(folded)
+    assert folded.builder.profile().describe() == whole.builder.profile().describe()
+    assert sorted(folded.per_class) == sorted(whole.per_class)
+    pairs = [(folded.features, whole.features)] + [
+        (folded.per_class[c], whole.per_class[c]) for c in whole.per_class
+    ]
+    for got, want in pairs:
+        assert json.dumps(_without_moments(got.state()), sort_keys=True) == json.dumps(
+            _without_moments(want.state()), sort_keys=True
+        )
+        _assert_state_close(got.state(), want.state())
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
