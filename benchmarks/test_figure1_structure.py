@@ -9,8 +9,9 @@ the recovery is robust to trace sampling.
 
 from conftest import save_result
 
-from repro.core import mine_dependency_queue
+from repro.core import mine_dependency_queue, stage_sequences
 from repro.datacenter import run_gfs_workload
+from repro.tracing import source_columns
 
 #: Figure 1's stage order, with CPU/memory expanded to this
 #: repository's span names.
@@ -24,14 +25,18 @@ FIGURE1 = (
 )
 
 
+def _mine(traces):
+    sequences = stage_sequences(source_columns(traces, "spans"))
+    return sequences, mine_dependency_queue(sequences)
+
+
 def test_figure1_structure_recovery(benchmark, gfs_run):
-    trees = gfs_run.traces.trace_trees()
-    queue = benchmark(mine_dependency_queue, trees)
+    sequences, queue = benchmark(_mine, gfs_run.traces)
     lines = [
         "Figure 1: GFS structure for one user request",
         "paper   : Network -> CPU -> Memory -> Disk -> CPU -> Network",
         "recovered: " + " -> ".join(queue.default),
-        f"mined from {len(trees)} traced requests",
+        f"mined from {len(sequences)} traced requests",
     ]
     save_result("figure1_structure", "\n".join(lines))
     assert queue.default == FIGURE1
@@ -42,7 +47,7 @@ def test_figure1_stable_under_sampling(benchmark):
 
     def mine_sampled():
         run = run_gfs_workload(n_requests=3000, seed=17, sample_every=100)
-        return run, mine_dependency_queue(run.traces.trace_trees())
+        return run, _mine(run.traces)[1]
 
     run, queue = benchmark.pedantic(mine_sampled, rounds=1, iterations=1)
     assert len(run.traces.spans) < len(run.traces.requests) * 7 / 10

@@ -9,7 +9,8 @@ Public API:
   server hardware.
 * :func:`compare_workloads` — Table-2 style fidelity validation.
 * :func:`extract_request_features` — joint per-request feature vectors.
-* :func:`mine_dependency_queue` — the structural component.
+* :func:`stage_sequences` / :func:`mine_dependency_queue` — the
+  structural component, mined from span columns.
 * :data:`CAPABILITIES` — the Table 1 qualitative matrix.
 """
 
@@ -17,7 +18,9 @@ from .. import _lazy_exports
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
     ".capabilities": ("CAPABILITIES", "Capability", "capability_table"),
-    ".dependency": ("DependencyQueue", "mine_dependency_queue"),
+    ".dependency": (
+        "DependencyQueue", "mine_dependency_queue", "stage_sequences",
+    ),
     ".features": (
         "RequestFeatures", "extract_request_features",
         "request_feature_columns",
@@ -82,4 +85,5 @@ __all__ = [
     "read_training_input",
     "request_feature_columns",
     "save_model",
+    "stage_sequences",
 ]

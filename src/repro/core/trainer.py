@@ -5,11 +5,13 @@ corresponding subsystem" and "creating the time-dependencies-queue
 requires tracing the complete round trip of a request through the
 system from issue to response" (§4).  The trainer reads both from any
 :class:`~repro.tracing.TraceSource` once (:func:`read_training_input`):
-the five feature streams as stitched columns and the spans as trace
-trees.  The subsystem models and couplers are fitted straight from the
-columns of the per-request feature join
+the five feature streams and the spans, all as stitched columns.  The
+subsystem models and couplers are fitted straight from the columns of
+the per-request feature join
 (:func:`~repro.core.features.request_feature_columns`); the dependency
-queue is mined from the trees.
+queue is mined from each trace's stage sequence, which
+:func:`~repro.core.dependency.stage_sequences` reads off the span
+columns.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 
 from ..markov import HierarchicalMarkovChain, MarkovChain
 from ..queueing import fit_distribution
-from ..tracing import TraceSource, TraceTree, build_trace_trees
-from .dependency import mine_dependency_queue
+from ..tracing import TraceSource, source_columns
+from .dependency import STAGE_COLUMNS, mine_dependency_queue, stage_sequences
 from .features import request_feature_columns, source_feature_streams
 from .model import CpuBinStats, KoozaConfig, KoozaModel
 
@@ -35,10 +37,10 @@ class InsufficientTrainingData(ValueError):
     """Too little training data to fit a model.
 
     A fit needs :data:`MIN_TRAINING_REQUESTS` complete requests (every
-    subsystem record the request needs is in the trace) and a trace
-    tree to mine the dependency queue from.  Dapper-style 1-in-N
+    subsystem record the request needs is in the trace) and a traced
+    request to mine the dependency queue from.  Dapper-style 1-in-N
     sampling keeps every request's subsystem records but spans only for
-    sampled requests, so a request class can have no tree.
+    sampled requests, so a request class can have no trace.
     """
 
     def __init__(self, n_complete: int, n_trees: int):
@@ -49,7 +51,7 @@ class InsufficientTrainingData(ValueError):
             )
         else:
             super().__init__(
-                f"no trace tree to mine among {n_complete} complete requests"
+                f"no traced request to mine among {n_complete} complete requests"
             )
         self.n_complete = n_complete
         self.n_trees = n_trees
@@ -57,16 +59,18 @@ class InsufficientTrainingData(ValueError):
 
 def read_training_input(
     source: TraceSource,
-) -> tuple[dict[str, dict[str, Any]], list[TraceTree]]:
+) -> tuple[dict[str, dict[str, Any]], list[tuple[int, tuple[str, ...]]]]:
     """Everything a fit reads from ``source``, read once.
 
     The :data:`~repro.core.features.FEATURE_COLUMNS` of the five
-    feature streams as stitched columns, and the span records built
-    into trace trees.  :func:`repro.tracing.columnar.class_columns`
-    splits both by request class.
+    feature streams as stitched columns, and each traced request's
+    ``(trace_id, stage names)`` mined from the span columns
+    (:func:`~repro.core.dependency.stage_sequences`).
+    :func:`repro.tracing.columnar.class_columns` splits both by request
+    class.
     """
-    trees = build_trace_trees(list(source.iter_records("spans")))
-    return source_feature_streams(source), trees
+    sequences = stage_sequences(source_columns(source, "spans", STAGE_COLUMNS))
+    return source_feature_streams(source), sequences
 
 
 class KoozaTrainer:
@@ -82,21 +86,24 @@ class KoozaTrainer:
         a lazy :class:`repro.store.ShardStore`, or a
         :class:`~repro.tracing.FlatTraceDump`.
         """
-        streams, trees = read_training_input(source)
-        return self.fit_columns(request_feature_columns(streams), trees)
+        streams, sequences = read_training_input(source)
+        return self.fit_columns(request_feature_columns(streams), sequences)
 
     def fit_columns(
-        self, features: Mapping[str, Any], trees: Sequence[TraceTree]
+        self,
+        features: Mapping[str, Any],
+        sequences: Sequence[tuple[int, Sequence[str]]],
     ) -> KoozaModel:
-        """Train on the feature join's columns and the trace trees.
+        """Train on the feature join's columns and the stage sequences.
 
         ``features`` is :func:`~repro.core.features.request_feature_columns`
+        output and ``sequences`` :func:`~repro.core.dependency.stage_sequences`
         output.  Chain states are built from plain Python ``str``/``int``
         values, so the model serializes the same whatever the source.
         """
         n = features["n"]
-        if n < MIN_TRAINING_REQUESTS or not trees:
-            raise InsufficientTrainingData(n, len(trees))
+        if n < MIN_TRAINING_REQUESTS or not sequences:
+            raise InsufficientTrainingData(n, len(sequences))
         model = KoozaModel(self.config)
         model.n_training_requests = n
         net_states = self._fit_network(model, features)
@@ -110,7 +117,7 @@ class KoozaTrainer:
             model.couplers["memory"].observe(net, mem)
             model.couplers["cpu"].observe(net, cpu)
         profile_of = dict(zip(features["request_id"].tolist(), net_states))
-        model.dependency_queue = mine_dependency_queue(trees, profile_of)
+        model.dependency_queue = mine_dependency_queue(sequences, profile_of)
         return model
 
     # -- subsystem fits ------------------------------------------------------

@@ -4,7 +4,8 @@ KOOZA fits are embarrassingly parallel over request classes: each
 class's subsystem models, couplers and dependency queue depend only on
 that class's records.  :func:`train_per_class` reads the source once
 (:func:`~repro.core.read_training_input`: the feature streams as
-stitched columns, the spans as trace trees), splits both by class with
+stitched columns, and each traced request's stage sequence mined from
+the span columns), splits both by class with
 :func:`~repro.tracing.columnar.class_columns`, and fits each class from
 its own feature join, inline or on worker processes that return
 serialized models.  Every source and worker count takes this one path,
@@ -14,7 +15,7 @@ merged ``TraceSet``.
 Classes below ``min_requests`` completed requests are skipped before
 any stream is read (a store counts them from its manifests).  A class
 the trainer refuses — too few *complete* requests (mapreduce tasks
-touch no memory model) or no sampled trace tree — raises a typed
+touch no memory model) or no sampled trace — raises a typed
 :class:`~repro.core.InsufficientTrainingData` and is skipped the same
 way, without aborting the others.
 
@@ -62,7 +63,7 @@ MIN_TRAINABLE_REQUESTS = 16
 
 
 def _fit_class(task: tuple) -> tuple[str, dict | int]:
-    """Worker entry point: fit one class from its columns and trees.
+    """Worker entry point: fit one class from its columns and sequences.
 
     Returns ``(request_class, model_to_dict(model))`` — a few KB of
     JSON-able data, not a live model — or ``(request_class,
@@ -75,10 +76,10 @@ def _fit_class(task: tuple) -> tuple[str, dict | int]:
         request_feature_columns,
     )
 
-    request_class, streams, trees, config = task
+    request_class, streams, sequences, config = task
     try:
         model = KoozaTrainer(config).fit_columns(
-            request_feature_columns(streams), trees
+            request_feature_columns(streams), sequences
         )
     except InsufficientTrainingData as error:
         return request_class, error.n_complete
@@ -92,7 +93,7 @@ class PerClassFit:
     models: dict[str, "KoozaModel"]
     #: Classes not fitted: those below ``min_requests`` with their
     #: completed-request count, and those the trainer refused (too few
-    #: complete requests, or no sampled trace tree) with their
+    #: complete requests, or no sampled trace) with their
     #: complete-request count.
     skipped: dict[str, int] = field(default_factory=dict)
     workers: int = 1
@@ -182,9 +183,9 @@ def train_per_class(
     pending = [cls for cls in trainable if cls not in models]
     tasks = []
     if pending:
-        streams, trees = read_training_input(source)
+        streams, sequences = read_training_input(source)
         tasks = [
-            (cls, *class_columns(streams, cls, trees), config)
+            (cls, *class_columns(streams, cls, sequences), config)
             for cls in pending
         ]
     for cls, data in run_sharded(_fit_class, tasks, workers):

@@ -149,24 +149,22 @@ def _recorded_shards(
 ) -> Optional[frozenset[int]]:
     """Shard indices listed by the round files / the compacted index.
 
-    ``rounds`` holds the parsed round files in name order.  ``None``
-    when the store has no round records at all (legacy single-round
-    store) — round gating does not apply there.  One unreadable round
-    file discards every round file, and a round number that two files
-    claim keeps the later file's shards.
+    ``rounds`` holds the parsed round files in name order, ``None`` for
+    one that cannot be read.  ``None`` when the store has no round
+    records at all (legacy single-round store) — round gating does not
+    apply there.  An unreadable round file still gates: the shards only
+    it would list stay hidden.  A round number that two files claim
+    keeps the later file's shards.
     """
+    if index is None and not rounds:
+        return None
     recorded: set[int] = set()
-    seen_any = False
     if index is not None:
-        seen_any = True
         for shards in index.rounds.values():
             recorded.update(shards)
-    by_round = dict(rounds) if None not in rounds else {}
-    if by_round:
-        seen_any = True
-        for shards in by_round.values():
-            recorded.update(shards)
-    return frozenset(recorded) if seen_any else None
+    for shards in dict(r for r in rounds if r is not None).values():
+        recorded.update(shards)
+    return frozenset(recorded)
 
 
 def take_snapshot(

@@ -45,7 +45,7 @@ from .records import (
     RequestRecord,
     StorageRecord,
 )
-from .span import Annotation, Span, TraceTree
+from .span import Annotation, Span
 from .store import (
     STREAM_TYPES,
     find_stream_file,
@@ -323,15 +323,17 @@ def take_columns(cols: Mapping[str, Any], indices) -> dict[str, Any]:
 def class_columns(
     streams: Mapping[str, Mapping[str, Any]],
     request_class: str,
-    trees: Sequence[TraceTree] = (),
-) -> tuple[dict[str, dict[str, Any]], list[TraceTree]]:
-    """One request class's rows of every stream, and its trace trees.
+    sequences: Sequence[tuple[int, Any]] = (),
+) -> tuple[dict[str, dict[str, Any]], list[tuple[int, Any]]]:
+    """One request class's rows of every stream, and its stage sequences.
 
     ``streams`` maps stream name to a column dict; ``requests`` must
     carry ``request_id`` and ``request_class``.  Every other stream
     keeps, in stream order, the rows whose ``request_id`` (``trace_id``
-    for spans) belongs to one of the class's requests, and ``trees``
-    keeps those requests' trees.  Request ids are unique on a stitched
+    for spans) belongs to one of the class's requests, and
+    ``sequences`` — ``(trace_id, stage names)`` pairs
+    (:func:`repro.core.dependency.stage_sequences`) — keeps those
+    requests' pairs, in order.  Request ids are unique on a stitched
     timeline, so this is the same partition
     :func:`repro.core.split_traces_by_class` makes of records.
     """
@@ -347,7 +349,7 @@ def class_columns(
             rows = np.isin(cols[key], ids)
         part[stream] = take_columns(cols, rows)
     wanted = set(ids.tolist())
-    return part, [tree for tree in trees if tree.trace_id in wanted]
+    return part, [pair for pair in sequences if pair[0] in wanted]
 
 
 def concat_columns(parts: Sequence[Mapping[str, Any]]) -> dict[str, Any]:

@@ -4,8 +4,10 @@ Following Sigelman et al. (the paper's in-depth exemplar), a traced
 request is represented as a tree of nested spans.  Each span covers one
 named unit of work (an RPC, or a subsystem stage such as ``storage``)
 on one server, carries timestamped annotations, and points at its
-parent.  The KOOZA *time-dependency queue* is mined from these trees:
-the ordered sequence of subsystem activations for each request class.
+parent.  The KOOZA *time-dependency queue* is the ordered sequence of
+subsystem activations — the trees' leaf order — for each request
+class; :func:`repro.core.dependency.stage_sequences` mines it from span
+columns without building these objects.
 """
 
 from __future__ import annotations
@@ -90,13 +92,6 @@ class TraceTree:
             span = stack.pop()
             yield span
             stack.extend(reversed(self.children_of(span)))
-
-    def stage_sequence(self) -> list[str]:
-        """Ordered leaf-span names — the request's subsystem activation
-        order (the raw material of the time-dependency queue)."""
-        leaves = [s for s in self.walk() if not self._children.get(s.span_id)]
-        leaves.sort(key=lambda s: s.start)
-        return [s.name for s in leaves]
 
     def span_count(self) -> int:
         return sum(1 for _ in self.walk())

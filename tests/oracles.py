@@ -12,7 +12,11 @@ over materialized records with numpy, and share none of that code:
 * :func:`compare_by_walk` — the Table-2 report as a walk over those
   ``RequestFeatures`` lists, grouped per profile in Python dicts;
 * :func:`profile_from_traces` — ``WorkloadProfile`` characterization of
-  a materialized trace set through the breadth models and stats helpers.
+  a materialized trace set through the breadth models and stats helpers;
+* :func:`tree_stage_sequence` / :func:`tree_stage_sequences` — the
+  dependency queue's stage order as a walk over reassembled
+  ``TraceTree`` objects, which the span-column mining
+  (``repro.core.stage_sequences``) replaced.
 
 ``docs/streaming_analysis.md`` states the equality contract: counts,
 fractions, quantiles, KS and modal ops match exactly; accumulated
@@ -43,7 +47,7 @@ from repro.stats import (
     ks_two_sample,
     peak_to_mean,
 )
-from repro.tracing import READ, TraceSource, as_trace_set
+from repro.tracing import READ, TraceSource, TraceTree, as_trace_set, build_trace_trees
 
 #: Servers whose records are control-plane, not data-path.
 _CONTROL_SERVERS = ("master",)
@@ -123,6 +127,25 @@ def reference_request_features(source: TraceSource) -> list[RequestFeatures]:
         f.storage_delta = int(f.storage_delta)
         last_end[f.server] = f.storage_lbn + blocks
     return features
+
+
+def tree_stage_sequence(tree: TraceTree) -> list[str]:
+    """Ordered leaf-span names of one trace tree.
+
+    The leaves of the depth-first, start-ordered walk, stably sorted by
+    start time: the request's subsystem activation order.
+    """
+    leaves = [s for s in tree.walk() if not tree.children_of(s)]
+    leaves.sort(key=lambda s: s.start)
+    return [s.name for s in leaves]
+
+
+def tree_stage_sequences(spans: list) -> list[tuple[int, tuple[str, ...]]]:
+    """``(trace_id, stage names)`` of every tree ``spans`` reassemble to."""
+    return [
+        (tree.trace_id, tuple(tree_stage_sequence(tree)))
+        for tree in build_trace_trees(spans)
+    ]
 
 
 def profile_key(features: RequestFeatures) -> tuple[str, int]:

@@ -7,10 +7,15 @@ from repro.core import (
     WorkloadFeatureStats,
     extract_request_features,
     mine_dependency_queue,
+    stage_sequences,
 )
 from repro.core.dependency import DependencyQueue
 from repro.datacenter import run_gfs_workload, run_webapp_workload
-from repro.tracing import READ, WRITE
+from repro.tracing import READ, WRITE, source_columns
+
+
+def _sequences(traces):
+    return stage_sequences(source_columns(traces, "spans"))
 
 
 @pytest.fixture(scope="module")
@@ -74,8 +79,7 @@ def test_features_master_excluded(gfs_run):
 
 
 def test_mine_dependency_queue_gfs(gfs_run):
-    trees = gfs_run.traces.trace_trees()
-    queue = mine_dependency_queue(trees)
+    queue = mine_dependency_queue(_sequences(gfs_run.traces))
     assert queue.default == (
         "network_rx",
         "cpu_lookup",
@@ -87,17 +91,16 @@ def test_mine_dependency_queue_gfs(gfs_run):
 
 
 def test_mine_dependency_queue_per_profile(gfs_run):
-    trees = gfs_run.traces.trace_trees()
     features = extract_request_features(gfs_run.traces)
     profile_of = {f.request_id: f.request_class for f in features}
-    queue = mine_dependency_queue(trees, profile_of)
+    queue = mine_dependency_queue(_sequences(gfs_run.traces), profile_of)
     assert queue.n_profiles == 2
     assert queue.sequence_for("read_64K") == queue.default
 
 
 def test_mine_dependency_queue_webapp_differs():
     traces = run_webapp_workload(n_requests=120, seed=9)
-    queue = mine_dependency_queue(traces.trace_trees())
+    queue = mine_dependency_queue(_sequences(traces))
     assert queue.default.count("cpu_lookup") == 3
     assert queue.default.count("cpu_aggregate") == 3
 
@@ -118,6 +121,6 @@ def test_dependency_queue_validation():
 
 
 def test_dependency_queue_describe(gfs_run):
-    queue = mine_dependency_queue(gfs_run.traces.trace_trees())
+    queue = mine_dependency_queue(_sequences(gfs_run.traces))
     text = queue.describe()
     assert "network_rx -> cpu_lookup" in text

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import stage_sequences
 from repro.datacenter import (
     MapReduceJob,
     MapReduceSpec,
@@ -10,6 +11,7 @@ from repro.datacenter import (
     run_mapreduce_jobs,
     run_webapp_workload,
 )
+from repro.tracing import source_columns
 
 
 def test_webapp_requests_complete():
@@ -34,7 +36,7 @@ def test_webapp_only_db_does_storage():
 
 def test_webapp_stage_sequence_shows_tiering():
     traces = run_webapp_workload(n_requests=30, seed=4)
-    sequence = traces.trace_trees()[0].stage_sequence()
+    sequence = stage_sequences(source_columns(traces, "spans"))[0][1]
     assert sequence.count("cpu_lookup") == 3  # one per tier
     assert sequence.count("storage") == 1
     assert sequence[-1] == "network_tx"

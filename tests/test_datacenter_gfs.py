@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import stage_sequences
 from repro.datacenter import (
     GfsCluster,
     GfsRequest,
@@ -12,7 +13,7 @@ from repro.datacenter import (
 )
 from repro.datacenter.devices import CpuSpec
 from repro.simulation import Environment, RandomStreams
-from repro.tracing import READ, WRITE, Tracer
+from repro.tracing import READ, WRITE, Tracer, source_columns
 from repro.workloads import table2_mix
 
 
@@ -62,9 +63,8 @@ def test_large_io_split_at_max_io():
 
 def test_span_tree_matches_figure_1():
     _, traces, _ = _single_request(seed=123)
-    trees = traces.trace_trees()
-    assert len(trees) == 1
-    sequence = [s for s in trees[0].stage_sequence() if s != "master_lookup"]
+    [(_, stages)] = stage_sequences(source_columns(traces, "spans"))
+    sequence = [s for s in stages if s != "master_lookup"]
     assert sequence == [
         "network_rx",
         "cpu_lookup",

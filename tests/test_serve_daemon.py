@@ -146,6 +146,22 @@ def test_take_snapshot_complete_rounds_only(store):
     assert ungated.n_shards == 4
 
 
+def test_unreadable_round_file_still_gates(store):
+    # Round 1 is not recorded; an unreadable round-0 file must not turn
+    # gating off for the other rounds.  Round 0's shards are listed only
+    # in the unreadable file, so nothing is foldable until it is fixed.
+    _append_round(store)
+    (store / "round-00001.json").unlink()
+    round_file = store / "round-00000.json"
+    recorded = round_file.read_text()
+    assert take_snapshot(store, complete_rounds_only=True).n_shards == 2
+    round_file.write_text("{")
+    broken = take_snapshot(store, complete_rounds_only=True)
+    assert broken.n_shards == 0 and broken.pending == ()
+    round_file.write_text(recorded)
+    assert take_snapshot(store, True, previous=broken).n_shards == 2
+
+
 # -- watcher folding ---------------------------------------------------------
 
 

@@ -48,6 +48,7 @@ from repro.store import (
 )
 from repro.tracing import (
     READ,
+    STREAM_TYPES,
     NetworkRecord,
     RequestRecord,
     StorageRecord,
@@ -505,8 +506,9 @@ def test_per_class_training_skips_classes_without_sampled_trees():
 
 
 def test_per_class_training_reads_the_store_once(tmp_path, monkeypatch):
-    # However many classes, training loads each feature stream of each
-    # shard once and builds record objects for spans only.
+    # However many classes, training loads each of the six streams of
+    # each shard once, as columns, and builds no record objects: the
+    # stage sequences are mined from the span columns.
     collect_fleet_to_store(
         FleetSpec(app="webapp", replicas=2, seed=5, n_requests=150),
         directory=tmp_path,
@@ -531,8 +533,8 @@ def test_per_class_training_reads_the_store_once(tmp_path, monkeypatch):
     monkeypatch.setattr(columnar, "records_from_columns", counting_to_records)
     fit = train_per_class(store)
     assert len(store) == 2 and len(fit.models) >= 3
-    assert len(loads) == len(store) * 5
-    assert set(decoded) == {"spans"}
+    assert sorted(loads) == sorted(list(STREAM_TYPES) * len(store))
+    assert decoded == []
 
 
 def test_per_class_models_round_trip(trained_store, tmp_path):

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.core import stage_sequences
 from repro.tracing import Span, build_trace_trees
+from repro.tracing.columnar import columns_from_records
+from tests.oracles import tree_stage_sequence
 
 
 def _span(trace_id, span_id, parent_id, name, start, end):
@@ -43,15 +46,21 @@ def test_build_single_tree():
     assert trees[0].span_count() == 7
 
 
+FIGURE_1 = (
+    "network_rx",
+    "cpu_lookup",
+    "memory",
+    "storage",
+    "cpu_aggregate",
+    "network_tx",
+)
+
+
 def test_stage_sequence_matches_figure_1():
-    tree = build_trace_trees(_gfs_trace())[0]
-    assert tree.stage_sequence() == [
-        "network_rx",
-        "cpu_lookup",
-        "memory",
-        "storage",
-        "cpu_aggregate",
-        "network_tx",
+    spans = _gfs_trace()
+    assert tree_stage_sequence(build_trace_trees(spans)[0]) == list(FIGURE_1)
+    assert stage_sequences(columns_from_records("spans", spans)) == [
+        (1, FIGURE_1)
     ]
 
 

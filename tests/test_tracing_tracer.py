@@ -1,16 +1,24 @@
 """Unit tests for the Tracer, TraceSet and trace persistence."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.datacenter import run_gfs_workload
 from repro.tracing import (
     READ,
+    Annotation,
     NetworkRecord,
     RequestRecord,
+    Span,
     StorageRecord,
     Tracer,
     TraceSet,
     load_traces,
     save_traces,
+    shift_request,
+    shift_span,
+    shift_subsystem_record,
 )
 
 
@@ -121,3 +129,43 @@ def test_load_missing_streams_is_empty(tmp_path):
         "requests": 0,
         "spans": 0,
     }
+
+
+def test_shifted_copies_equal_dataclass_replace():
+    # The shift functions build copies with the record constructors; the
+    # result must be what ``dataclasses.replace`` makes, down to the
+    # shared ``extra`` object of a request.
+    traces = run_gfs_workload(n_requests=20, seed=4).traces
+    traces.requests[0].extra["tag"] = "x"
+    traces.spans.append(
+        Span(9, 90, 89, "storage", "s0", 1.0, 2.0, [Annotation(1.5, "seek")])
+    )
+    t, i, k = 2.5, 7, 11
+    for stream in ("network", "cpu", "memory", "storage"):
+        records = getattr(traces, stream)
+        assert records
+        for r in records:
+            assert shift_subsystem_record(r, t, i) == replace(
+                r, request_id=r.request_id + i, timestamp=r.timestamp + t
+            )
+    for r in traces.requests:
+        shifted = shift_request(r, t, i)
+        assert shifted == replace(
+            r,
+            request_id=r.request_id + i,
+            arrival_time=r.arrival_time + t,
+            completion_time=r.completion_time + t,
+        )
+        assert shifted.extra is r.extra
+    for s in traces.spans:
+        assert shift_span(s, t, i, k) == replace(
+            s,
+            trace_id=s.trace_id + i,
+            span_id=s.span_id + k,
+            parent_id=None if s.parent_id is None else s.parent_id + k,
+            start=s.start + t,
+            end=s.end + t,
+            annotations=[
+                Annotation(a.timestamp + t, a.message) for a in s.annotations
+            ],
+        )
