@@ -32,19 +32,16 @@ def test_ablation_anomaly_detection(benchmark):
     def run_study():
         healthy = _traces(HEALTHY_DISK, seed=81)
         degraded = _traces(SICK_DISK, seed=82)
-        detector = AnomalyDetector(threshold_sigmas=4.0).fit(
-            healthy.trace_trees()
-        )
-        false_alarms = detector.scan(healthy.trace_trees())
-        detections = detector.scan(degraded.trace_trees())
+        detector = AnomalyDetector(threshold_sigmas=4.0).fit(healthy)
+        false_alarms = detector.scan(healthy)
+        detections = detector.scan(degraded)
         return healthy, degraded, detector, false_alarms, detections
 
     healthy, degraded, detector, false_alarms, detections = (
         benchmark.pedantic(run_study, rounds=1, iterations=1)
     )
-    n = len(degraded.trace_trees())
-    detection_rate = len(detections) / n
-    false_rate = len(false_alarms) / len(healthy.trace_trees())
+    detection_rate = len(detections) / len(detector.judge(degraded))
+    false_rate = len(false_alarms) / len(detector.judge(healthy))
     suspects = [v.worst_stage for v in detections]
     localized = (
         suspects.count("storage") / len(suspects) if suspects else 0.0

@@ -11,6 +11,7 @@ from conftest import save_result
 
 from repro.core import mine_dependency_queue, stage_sequences
 from repro.datacenter import run_gfs_workload
+from repro.depth.anomaly import stage_durations
 from repro.tracing import source_columns
 
 #: Figure 1's stage order, with CPU/memory expanded to this
@@ -60,10 +61,9 @@ def test_figure1_request_latency_decomposition(benchmark, gfs_run):
 
     def decompose():
         totals: dict[str, float] = {}
-        for tree in gfs_run.traces.trace_trees():
-            for span in tree.walk():
-                if span.parent_id is not None:
-                    totals[span.name] = totals.get(span.name, 0.0) + span.duration
+        for _, stages in stage_durations(gfs_run.traces):
+            for name, duration in stages.items():
+                totals[name] = totals.get(name, 0.0) + duration
         return totals
 
     totals = benchmark(decompose)

@@ -72,7 +72,7 @@ def main() -> None:
                       for cls, share in sorted(shares.items())))
 
     # -- 2. bottleneck identification ----------------------------------------
-    detector = AnomalyDetector(threshold_sigmas=4.0).fit(traces.trace_trees())
+    detector = AnomalyDetector(threshold_sigmas=4.0).fit(traces)
     bottleneck = detector.bottleneck()
     print(f"\nbottleneck stage: {bottleneck.stage} "
           f"(mean {bottleneck.mean * 1e3:.2f} ms/request, "
@@ -85,8 +85,9 @@ def main() -> None:
         disk_spec=DiskSpec(min_seek=1.6e-3, max_seek=32e-3, write_cache=False),
         seed=6,
     )
-    verdicts = detector.scan(sick_traces.trace_trees())
-    total = len(sick_traces.trace_trees())
+    judged = detector.judge(sick_traces)
+    verdicts = [v for v in judged if v.is_anomalous]
+    total = len(judged)
     stages = [v.worst_stage for v in verdicts]
     localized = stages.count("storage") / len(stages) if stages else 0.0
     print(f"  flagged {len(verdicts)}/{total} requests as anomalous")

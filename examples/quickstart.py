@@ -1,7 +1,7 @@
 """Quickstart: the full KOOZA pipeline in one page.
 
 1. Run a simulated GFS cluster under a mixed workload, collecting
-   subsystem traces and Dapper-style span trees.
+   subsystem traces and Dapper-style spans.
 2. Train a KOOZA model (four subsystem models + dependency queue).
 3. Generate a synthetic workload from the model.
 4. Replay it on the same simulated hardware.

@@ -10,7 +10,8 @@ Public API:
 * :func:`compare_workloads` — Table-2 style fidelity validation.
 * :func:`extract_request_features` — joint per-request feature vectors.
 * :func:`stage_sequences` / :func:`mine_dependency_queue` — the
-  structural component, mined from span columns.
+  structural component, mined from span columns; :func:`trace_walks`
+  — each trace's depth-first span walk, for the in-depth studies.
 * :data:`CAPABILITIES` — the Table 1 qualitative matrix.
 """
 
@@ -19,7 +20,7 @@ from .. import _lazy_exports
 __getattr__, __dir__ = _lazy_exports(globals(), {
     ".capabilities": ("CAPABILITIES", "Capability", "capability_table"),
     ".dependency": (
-        "DependencyQueue", "mine_dependency_queue", "stage_sequences",
+        "DependencyQueue", "mine_dependency_queue", "stage_sequences", "trace_walks",
     ),
     ".features": (
         "RequestFeatures", "extract_request_features",
@@ -86,4 +87,5 @@ __all__ = [
     "request_feature_columns",
     "save_model",
     "stage_sequences",
+    "trace_walks",
 ]

@@ -3,12 +3,14 @@
 "…and a queue, configurable for each workload, that demonstrates the
 structure of the application, i.e. the order in which each model
 becomes active" (§4).  The queue is mined from Dapper-style span
-trees: for each request profile, the modal ordered sequence of
+traces: for each request profile, the modal ordered sequence of
 subsystem activations.  :func:`stage_sequences` reads each trace's
 activation order straight off the span columns, with no span or tree
 objects; :func:`mine_dependency_queue` takes the modes.  Control-plane
 stages (master lookups) are optional hops and are excluded from the
-canonical structure.
+canonical structure.  :func:`span_preorder` is the one span-structure
+path: the in-depth studies' walks (:func:`trace_walks`) come from it
+too, so bad span input follows one rule everywhere.
 """
 
 from __future__ import annotations
@@ -20,13 +22,19 @@ import numpy as np
 
 __all__ = [
     "STAGE_COLUMNS",
+    "WALK_COLUMNS",
     "DependencyQueue",
     "mine_dependency_queue",
+    "span_preorder",
     "stage_sequences",
+    "trace_walks",
 ]
 
 #: The span columns :func:`stage_sequences` reads.
 STAGE_COLUMNS = ("trace_id", "span_id", "parent_id", "name", "start")
+
+#: The span columns :func:`trace_walks` reads.
+WALK_COLUMNS = STAGE_COLUMNS + ("end",)
 
 #: Span names that are optional control-plane hops, not the structure.
 _OPTIONAL_STAGES = ("master_lookup",)
@@ -66,27 +74,22 @@ class DependencyQueue:
         return "\n".join(lines)
 
 
-def stage_sequences(
-    spans: Mapping[str, Any],
-) -> list[tuple[int, tuple[str, ...]]]:
-    """Each trace's stage sequence, mined from span columns.
+def span_preorder(spans: Mapping[str, Any]) -> tuple[np.ndarray, np.ndarray]:
+    """Every single-root trace's reached spans in depth-first preorder.
 
     ``spans`` is a span column dict carrying :data:`STAGE_COLUMNS`
-    (:func:`repro.tracing.source_columns`).  Returns ``(trace_id,
-    names)`` in trace id order for every trace with exactly one root
-    span.  ``names`` are the trace's leaf spans — reachable from the
-    root, parent of no span — ordered by start time, ties broken by
-    depth-first preorder with siblings ordered by start time and then
-    stream order.  Spans whose parent is missing are dropped with
-    their subtrees, and so are parent cycles, which no root reaches.
-    This is the leaf order of the span tree the trace reassembles to,
-    computed with array operations: a leaf's preorder position is the
-    lexicographic order of its ancestors' sibling ranks.  Span ids must
-    be unique within a trace.
+    (:func:`repro.tracing.source_columns`).  Returns ``(rows,
+    has_child)``: the column rows of each trace with exactly one root,
+    in trace id order, as a walk from the root visits them (siblings by
+    start time, then stream order), and whether each row parents a
+    span.  Orphans are dropped with their subtrees, and so are parent
+    cycles, which no root reaches.  Span ids must be unique within a
+    trace (``ValueError`` otherwise).  A span's preorder position is
+    the lexicographic order of its ancestors' sibling ranks.
     """
     n = spans["n"]
     if not n:
-        return []
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
     order = np.argsort(spans["trace_id"], kind="stable")
     trace = spans["trace_id"][order]
     span_id = spans["span_id"][order]
@@ -130,9 +133,7 @@ def stage_sequences(
         depth[reached] = level
     has_child = np.zeros(n, dtype=bool)
     has_child[parent_of] = True
-    leaves = np.flatnonzero((depth >= 0) & ~has_child)
-    if not leaves.size:
-        return []
+    reached = np.flatnonzero(depth >= 0)
 
     # Sibling rank of each reached span: its position in an order that
     # groups spans by parent and sorts each group by (start, stream
@@ -142,30 +143,66 @@ def stage_sequences(
     rank = np.zeros(n, dtype=np.int64)
     rank[inner] = np.arange(inner.size)
 
-    # Each leaf's root-to-leaf sibling-rank path: row k holds the rank
-    # of its ancestor at depth k + 1 (0 past the leaf's own depth; no
-    # leaf's path is a prefix of another's, so the padding never
-    # decides an order).
-    node = leaves.copy()
-    node_depth = depth[leaves]
-    path = np.zeros((int(node_depth.max()), leaves.size), dtype=np.int64)
-    for _ in range(path.shape[0]):
+    # Each span's root path of sibling ranks: row k holds the rank of
+    # its ancestor at depth k + 1, or -1 past the span's own depth, so
+    # an ancestor sorts before its descendants.
+    node = reached.copy()
+    node_depth = depth[reached]
+    path = np.full((level, reached.size), -1, dtype=np.int64)
+    for _ in range(level):
         up = np.flatnonzero(node_depth > 0)
         path[node_depth[up] - 1, up] = rank[node[up]]
         node[up] = parent_row[node[up]]
         node_depth[up] -= 1
-    leaves = leaves[np.lexsort((*path[::-1], start[leaves], trace_rank[leaves]))]
+    reached = reached[np.lexsort((*path[::-1], trace_rank[reached]))]
+    return order[reached], has_child[reached]
 
+
+def _per_trace(spans: Mapping[str, Any], rows: np.ndarray):
+    """``(trace_id, a, b)`` of each trace's run ``rows[a:b]``, and the
+    rows' span names."""
+    trace = spans["trace_id"][rows]
+    head = np.ones(rows.size, dtype=bool)
+    head[1:] = trace[1:] != trace[:-1]
+    cuts = np.flatnonzero(head)
+    bounds = cuts.tolist() + [rows.size]
     table = spans["name"].values
-    codes = spans["name"].codes[order[leaves]].tolist()
-    names = [table[code] for code in codes]
-    leaf_trace = trace[leaves]
-    cuts = np.flatnonzero(np.r_[True, leaf_trace[1:] != leaf_trace[:-1]])
-    bounds = cuts.tolist() + [leaves.size]
-    return [
-        (trace_id, tuple(names[a:b]))
-        for trace_id, a, b in zip(leaf_trace[cuts].tolist(), bounds, bounds[1:])
-    ]
+    names = [table[code] for code in spans["name"].codes[rows].tolist()]
+    return list(zip(trace[cuts].tolist(), bounds, bounds[1:])), names
+
+
+def stage_sequences(
+    spans: Mapping[str, Any],
+) -> list[tuple[int, tuple[str, ...]]]:
+    """Each trace's stage sequence, mined from span columns.
+
+    Returns ``(trace_id, names)`` in trace id order for every trace
+    :func:`span_preorder` reaches.  ``names`` are the trace's leaf
+    spans — reached from the root, parent of no span — stably sorted
+    by start time from depth-first preorder.  This is the leaf order of
+    the span tree the trace reassembles to.
+    """
+    rows, has_child = span_preorder(spans)
+    leaves = rows[~has_child]
+    leaves = leaves[np.lexsort((spans["start"][leaves], spans["trace_id"][leaves]))]
+    traces, names = _per_trace(spans, leaves)
+    return [(trace_id, tuple(names[a:b])) for trace_id, a, b in traces]
+
+
+def trace_walks(
+    spans: Mapping[str, Any],
+) -> list[tuple[int, list[str], list[float]]]:
+    """Each trace's span names and durations in depth-first preorder.
+
+    ``spans`` carries :data:`WALK_COLUMNS`.  Returns ``(trace_id,
+    names, durations)`` in trace id order for every trace
+    :func:`span_preorder` reaches, root first; a duration is the span's
+    ``end - start``.
+    """
+    rows, _ = span_preorder(spans)
+    durations = (spans["end"][rows] - spans["start"][rows]).tolist()
+    traces, names = _per_trace(spans, rows)
+    return [(trace_id, names[a:b], durations[a:b]) for trace_id, a, b in traces]
 
 
 def mine_dependency_queue(

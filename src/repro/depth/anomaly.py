@@ -4,7 +4,8 @@ The paper's Table-1 argument for in-depth data: "studies that involve
 identifying performance bottlenecks for a specific job, performing
 error detection or sophisticated job mapping are only possible with an
 in-depth modeling scheme."  This module implements both studies on
-span trees:
+the span traces of any :class:`~repro.tracing.TraceSource`, read as
+per-stage durations from the span columns:
 
 * :class:`StageProfile` — per-stage duration statistics learned from
   healthy traces;
@@ -15,13 +16,32 @@ span trees:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from ..tracing import TraceTree
+from ..tracing import TraceSource, source_columns
 
-__all__ = ["AnomalyDetector", "AnomalyVerdict", "StageProfile"]
+__all__ = ["AnomalyDetector", "AnomalyVerdict", "StageProfile", "stage_durations"]
+
+
+def stage_durations(source: TraceSource) -> list[tuple[int, dict[str, float]]]:
+    """Each traced request's per-stage durations, in trace id order:
+    its spans' durations summed by name in depth-first preorder
+    (:func:`repro.core.trace_walks`), the root span left out."""
+    # Imported here: `repro serve` loads this module for StageProfile
+    # and must not pay for the span walk at start-up.
+    from ..core.dependency import WALK_COLUMNS, trace_walks
+
+    totals = []
+    for trace_id, names, durations in trace_walks(
+        source_columns(source, "spans", WALK_COLUMNS)
+    ):
+        stages: dict[str, float] = {}
+        for name, duration in zip(names[1:], durations[1:]):
+            stages[name] = stages.get(name, 0.0) + duration
+        totals.append((trace_id, stages))
+    return totals
 
 
 @dataclass(frozen=True)
@@ -62,22 +82,14 @@ class AnomalyDetector:
         self.threshold_sigmas = threshold_sigmas
         self.profiles: dict[str, StageProfile] = {}
 
-    @staticmethod
-    def _stage_durations(tree: TraceTree) -> dict[str, float]:
-        durations: dict[str, float] = {}
-        for span in tree.walk():
-            if span.parent_id is None:
-                continue
-            durations[span.name] = durations.get(span.name, 0.0) + span.duration
-        return durations
-
-    def fit(self, trees: Sequence[TraceTree]) -> "AnomalyDetector":
-        """Learn healthy per-stage statistics from trace trees."""
-        if not trees:
-            raise ValueError("no trace trees to fit on")
+    def fit(self, source: TraceSource) -> "AnomalyDetector":
+        """Learn healthy per-stage statistics from a source's span traces."""
+        traces = stage_durations(source)
+        if not traces:
+            raise ValueError("no span traces to fit on")
         samples: dict[str, list[float]] = {}
-        for tree in trees:
-            for stage, duration in self._stage_durations(tree).items():
+        for _, durations in traces:
+            for stage, duration in durations.items():
                 samples.setdefault(stage, []).append(duration)
         self.profiles = {
             stage: StageProfile(
@@ -95,31 +107,34 @@ class AnomalyDetector:
         if not self.profiles:
             raise RuntimeError("detector is not fitted; call fit() first")
 
-    def judge(self, tree: TraceTree) -> AnomalyVerdict:
-        """Score one request; the worst-deviating stage is the suspect."""
+    def judge(self, source: TraceSource) -> list[AnomalyVerdict]:
+        """Score every traced request, in trace id order; a verdict's
+        worst-deviating stage is the suspect."""
         self._check_fitted()
-        durations = self._stage_durations(tree)
-        worst_stage = None
-        worst_z = 0.0
-        for stage, duration in durations.items():
-            profile = self.profiles.get(stage)
-            if profile is None:
-                continue  # stage unseen in training: cannot judge it
-            z = profile.zscore(duration)
-            if z > worst_z:
-                worst_z = z
-                worst_stage = stage
-        return AnomalyVerdict(
-            trace_id=tree.trace_id,
-            is_anomalous=worst_z > self.threshold_sigmas,
-            worst_stage=worst_stage,
-            worst_zscore=worst_z,
-            stage_durations=durations,
-        )
+        verdicts = []
+        for trace_id, durations in stage_durations(source):
+            worst_stage = None
+            worst_z = 0.0
+            for stage, duration in durations.items():
+                profile = self.profiles.get(stage)
+                if profile is None:
+                    continue  # stage unseen in training: cannot judge it
+                z = profile.zscore(duration)
+                if z > worst_z:
+                    worst_z = z
+                    worst_stage = stage
+            verdicts.append(AnomalyVerdict(
+                trace_id=trace_id,
+                is_anomalous=worst_z > self.threshold_sigmas,
+                worst_stage=worst_stage,
+                worst_zscore=worst_z,
+                stage_durations=durations,
+            ))
+        return verdicts
 
-    def scan(self, trees: Sequence[TraceTree]) -> list[AnomalyVerdict]:
-        """Judge a batch; returns only the anomalous verdicts."""
-        return [v for v in map(self.judge, trees) if v.is_anomalous]
+    def scan(self, source: TraceSource) -> list[AnomalyVerdict]:
+        """Judge a source's requests; returns only the anomalous verdicts."""
+        return [v for v in self.judge(source) if v.is_anomalous]
 
     def bottleneck(self) -> StageProfile:
         """The stage with the largest mean duration (the hot spot)."""

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..core.dependency import WALK_COLUMNS, trace_walks
 from ..queueing import (
     DistributionArrivals,
     EmpiricalArrivals,
@@ -25,7 +26,7 @@ from ..queueing import (
     fit_distribution,
 )
 from ..simulation import Environment
-from ..tracing import TraceSet
+from ..tracing import TraceSource, source_columns
 
 __all__ = ["InDepthModel"]
 
@@ -64,32 +65,31 @@ class InDepthModel:
         self._interarrivals: Optional[np.ndarray] = None
         self._arrival_fit = None
 
-    def fit(self, traces: TraceSet) -> "InDepthModel":
-        """Train from request arrivals and sampled span trees."""
-        requests = traces.completed_requests()
-        if len(requests) < 16:
-            raise ValueError(f"need >= 16 requests, got {len(requests)}")
-        arrivals = np.sort([r.arrival_time for r in requests])
-        gaps = np.diff(arrivals)
+    def fit(self, source: TraceSource) -> "InDepthModel":
+        """Train from a source's request arrivals and sampled span traces."""
+        requests = source_columns(
+            source, "requests", ("arrival_time", "completion_time")
+        )
+        done = requests["completion_time"] > requests["arrival_time"]
+        if done.sum() < 16:
+            raise ValueError(f"need >= 16 requests, got {done.sum()}")
+        gaps = np.diff(np.sort(requests["arrival_time"][done]))
         self._interarrivals = gaps[gaps > 0]
         try:
             self._arrival_fit = fit_distribution(self._interarrivals)
         except ValueError:
             self._arrival_fit = None
 
-        trees = traces.trace_trees()
-        if not trees:
+        walks = trace_walks(source_columns(source, "spans", WALK_COLUMNS))
+        if not walks:
             raise ValueError("in-depth training requires span traces")
         durations: dict[str, list[float]] = {}
         routes: dict[tuple[str, ...], int] = {}
-        for tree in trees:
+        for _, names, seconds in walks:
             visited = []
-            for span in tree.walk():
-                station = _STATION_OF.get(span.name)
-                if station is None:
-                    continue
-                duration = span.duration
-                if np.isfinite(duration) and duration >= 0:
+            for name, duration in zip(names, seconds):
+                station = _STATION_OF.get(name)
+                if station is not None and np.isfinite(duration) and duration >= 0:
                     durations.setdefault(station, []).append(duration)
                     visited.append(station)
             if visited:

@@ -22,13 +22,17 @@ from typing import Callable, Optional
 from ..store.analyze import analyze_shards
 from ..store.manifest import ShardManifest
 from ..store.watch import StoreSnapshot, take_snapshot
-from .state import ResidentAnalysis
+from .state import ResidentAnalysis, manifest_digest
 
 __all__ = ["PollResult", "StoreWatcher"]
 
 
 class StoreShrunkError(RuntimeError):
     """The watched store lost shards the daemon already folded."""
+
+
+class StoreRewrittenError(StoreShrunkError):
+    """A shard the daemon already folded was replaced by another one."""
 
 
 @dataclass
@@ -56,6 +60,8 @@ class StoreWatcher:
         self.complete_rounds_only = complete_rounds_only
         #: The last snapshot taken; the next one reads only what changed.
         self.snapshot: Optional[StoreSnapshot] = None
+        #: The manifest objects already checked against the resident fold.
+        self._verified: tuple[ShardManifest, ...] = ()
 
     def refresh(self) -> StoreSnapshot:
         """Take (and keep) a snapshot, incremental over the last one."""
@@ -83,6 +89,19 @@ class StoreWatcher:
                 f"store {self.directory} has {snapshot.n_shards} foldable "
                 f"shards but {len(resident.folded)} are already resident"
             )
+        # Finalized shards are write-once, so a prefix manifest the
+        # snapshot reused from a verified one is unchanged; only reloaded
+        # ones are checked against the fold.  A refused manifest is never
+        # marked verified, so every later poll refuses it too.
+        for i, entry in enumerate(resident.folded):
+            manifest = snapshot.manifests[i]
+            if i < len(self._verified) and manifest is self._verified[i]:
+                continue
+            if manifest_digest(manifest) != entry.digest:
+                raise StoreRewrittenError(
+                    f"shard {i} of store {self.directory} was replaced "
+                    f"after it was folded"
+                )
         result = PollResult(snapshot=snapshot)
         new = snapshot.manifests[len(resident.folded):]
         accumulators, result.cache_hits, result.cache_misses = analyze_shards(
@@ -99,5 +118,6 @@ class StoreWatcher:
             result.folded.append(manifest)
             if on_fold is not None:
                 on_fold(manifest, snapshot)
+        self._verified = snapshot.manifests[: len(resident.folded)]
         result.elapsed_seconds = time.perf_counter() - start
         return result

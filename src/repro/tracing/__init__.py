@@ -1,7 +1,7 @@
 """Tracing substrate: subsystem records, Dapper-style spans, collection.
 
-Provides the typed per-subsystem trace records, the span/trace-tree
-machinery for in-depth request tracing, the :class:`Tracer` that the
+Provides the typed per-subsystem trace records, Dapper-style spans
+for in-depth request tracing, the :class:`Tracer` that the
 simulated datacenter is instrumented with, and JSONL persistence.
 """
 
@@ -17,7 +17,7 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
         "READ", "WRITE", "CpuRecord", "MemoryRecord", "NetworkRecord",
         "RequestRecord", "StorageRecord",
     ),
-    ".span": ("Annotation", "Span", "TraceTree", "build_trace_trees"),
+    ".span": ("Annotation", "Span"),
     ".source": (
         "FlatTraceDump", "TraceSource", "as_trace_set", "source_columns",
     ),
@@ -44,11 +44,9 @@ __all__ = [
     "StorageRecord",
     "TraceSet",
     "TraceSource",
-    "TraceTree",
     "Tracer",
     "WRITE",
     "as_trace_set",
-    "build_trace_trees",
     "load_traces",
     "read_cluster_jobs",
     "read_spc_trace",

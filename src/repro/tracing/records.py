@@ -6,7 +6,7 @@ These are the raw material of every modeling technique in the paper:
   (:class:`StorageRecord`, :class:`CpuRecord`, :class:`MemoryRecord`,
   :class:`NetworkRecord`),
 * in-depth models train on arrival times and per-tier service times
-  (from :class:`RequestRecord` and span trees),
+  (from :class:`RequestRecord` and spans),
 * KOOZA trains on all of the above.
 
 Records carry the global ``request_id`` (the Dapper-style identifier

@@ -6,9 +6,9 @@ Combines the two tracing regimes the paper describes:
   streams that in-breadth models train on — "training the four models
   requires collecting traces for the corresponding part of the system,
   a standard procedure for any DC configuration study";
-* **request tracing** (Dapper-style, sampled 1-in-N): span trees that
-  capture the complete round trip of a request, from which the KOOZA
-  time-dependency queue is extracted.
+* **request tracing** (Dapper-style, sampled 1-in-N): nested spans
+  that capture the complete round trip of a request, from which the
+  KOOZA time-dependency queue is extracted.
 
 A :class:`TraceSet` bundles everything a model trainer consumes.
 """
@@ -26,7 +26,7 @@ from .records import (
     RequestRecord,
     StorageRecord,
 )
-from .span import Annotation, Span, TraceTree, build_trace_trees
+from .span import Annotation, Span
 
 __all__ = [
     "STREAM_NAMES",
@@ -144,10 +144,6 @@ class TraceSet:
     requests: list[RequestRecord] = field(default_factory=list)
     spans: list[Span] = field(default_factory=list)
 
-    def trace_trees(self) -> list[TraceTree]:
-        """Reassemble the sampled span trees."""
-        return build_trace_trees(self.spans)
-
     def completed_requests(self) -> list[RequestRecord]:
         """Requests that finished before the simulation ended."""
         return [r for r in self.requests if r.completion_time > r.arrival_time]
@@ -247,7 +243,7 @@ class TraceSet:
 
 
 class Tracer:
-    """Collects subsystem records always, span trees for sampled requests.
+    """Collects subsystem records always, spans for sampled requests.
 
     ``sample_every`` mirrors Dapper's 1-in-N trace sampling (the paper
     quotes 1/1000 with <1.5% overhead); ``sample_every=1`` traces every

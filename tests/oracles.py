@@ -13,10 +13,16 @@ over materialized records with numpy, and share none of that code:
   ``RequestFeatures`` lists, grouped per profile in Python dicts;
 * :func:`profile_from_traces` — ``WorkloadProfile`` characterization of
   a materialized trace set through the breadth models and stats helpers;
+* :class:`TraceTree` / :func:`build_trace_trees` — span trees
+  reassembled from ``Span`` lists and walked depth first, which the
+  span-column preorder (``repro.core.dependency.span_preorder``)
+  replaced in the library;
 * :func:`tree_stage_sequence` / :func:`tree_stage_sequences` — the
-  dependency queue's stage order as a walk over reassembled
-  ``TraceTree`` objects, which the span-column mining
-  (``repro.core.stage_sequences``) replaced.
+  dependency queue's stage order as a walk over those trees, which the
+  span-column mining (``repro.core.stage_sequences``) replaced;
+* :func:`tree_walks` — each tree's walk-order span names and per-stage
+  duration sums, against ``repro.core.trace_walks`` and
+  ``repro.depth.anomaly.stage_durations``.
 
 ``docs/streaming_analysis.md`` states the equality contract: counts,
 fractions, quantiles, KS and modal ops match exactly; accumulated
@@ -24,6 +30,8 @@ means, variances and correlations within a relative 1e-9.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -47,7 +55,7 @@ from repro.stats import (
     ks_two_sample,
     peak_to_mean,
 )
-from repro.tracing import READ, TraceSource, TraceTree, as_trace_set, build_trace_trees
+from repro.tracing import READ, Span, TraceSource, as_trace_set
 
 #: Servers whose records are control-plane, not data-path.
 _CONTROL_SERVERS = ("master",)
@@ -127,6 +135,76 @@ def reference_request_features(source: TraceSource) -> list[RequestFeatures]:
         f.storage_delta = int(f.storage_delta)
         last_end[f.server] = f.storage_lbn + blocks
     return features
+
+
+class TraceTree:
+    """The reassembled span tree for one traced request."""
+
+    def __init__(self, root: Span, children: dict[int, list[Span]]):
+        self.root = root
+        self._children = children
+
+    @property
+    def trace_id(self) -> int:
+        return self.root.trace_id
+
+    def children_of(self, span: Span) -> list[Span]:
+        """Direct children of ``span``, ordered by start time."""
+        return sorted(self._children.get(span.span_id, []), key=lambda s: s.start)
+
+    def walk(self) -> Iterator[Span]:
+        """Depth-first, start-time-ordered traversal of all spans.
+
+        Never ends on a trace with a duplicated span id; the library's
+        preorder refuses such a trace instead.
+        """
+        stack = [self.root]
+        while stack:
+            span = stack.pop()
+            yield span
+            stack.extend(reversed(self.children_of(span)))
+
+    def span_count(self) -> int:
+        return sum(1 for _ in self.walk())
+
+
+def build_trace_trees(spans: list[Span]) -> list[TraceTree]:
+    """Group flat span lists by ``trace_id`` and rebuild each tree.
+
+    Traces without exactly one root are skipped.  Spans whose parent is
+    missing (e.g. lost records) are dropped with their subtrees.
+    """
+    by_trace: dict[int, list[Span]] = {}
+    for span in spans:
+        by_trace.setdefault(span.trace_id, []).append(span)
+
+    trees = []
+    for trace_id in sorted(by_trace):
+        group = by_trace[trace_id]
+        roots = [s for s in group if s.parent_id is None]
+        if len(roots) != 1:
+            continue
+        ids = {s.span_id for s in group}
+        children: dict[int, list[Span]] = {}
+        for span in group:
+            if span.parent_id is not None and span.parent_id in ids:
+                children.setdefault(span.parent_id, []).append(span)
+        trees.append(TraceTree(roots[0], children))
+    return trees
+
+
+def tree_walks(spans: list) -> list[tuple[int, list[str], dict[str, float]]]:
+    """``(trace_id, walk-order span names, per-stage duration sums)`` of
+    every tree ``spans`` reassemble to; the root is not a stage."""
+    walks = []
+    for tree in build_trace_trees(spans):
+        names, stages = [], {}
+        for span in tree.walk():
+            names.append(span.name)
+            if span.parent_id is not None:
+                stages[span.name] = stages.get(span.name, 0.0) + span.duration
+        walks.append((tree.trace_id, names, stages))
+    return walks
 
 
 def tree_stage_sequence(tree: TraceTree) -> list[str]:

@@ -13,7 +13,7 @@ from repro.datacenter.devices import DiskSpec
 from repro.depth import AdmissionController, AnomalyDetector
 from repro.queueing import PoissonArrivals
 from repro.simulation import Environment, RandomStreams, Resource
-from repro.tracing import Tracer
+from repro.tracing import Tracer, TraceSet
 from repro.workloads import OpenLoopClient, table2_mix
 
 DEGRADED = DiskSpec(min_seek=1.6e-3, max_seek=32e-3, write_cache=False)
@@ -169,14 +169,15 @@ def test_fault_onset_visible_in_latencies():
 
 def test_detector_localizes_onset_in_time():
     traces, _ = _run_with_fault(fault_start=10.0)
-    trees = traces.trace_trees()
-    healthy = [t for t in trees if t.root.start < 9.0]
+    starts = {s.trace_id: s.start for s in traces.spans if s.parent_id is None}
+    healthy = TraceSet(
+        spans=[s for s in traces.spans if starts[s.trace_id] < 9.0]
+    )
     detector = AnomalyDetector(threshold_sigmas=4.0).fit(healthy)
-    verdicts = [detector.judge(t) for t in trees]
     flagged_times = [
-        t.root.start
-        for t, v in zip(trees, verdicts)
-        if v.is_anomalous and v.worst_stage == "storage"
+        starts[v.trace_id]
+        for v in detector.scan(traces)
+        if v.worst_stage == "storage"
     ]
     assert flagged_times  # the incident is detected
     # Most storage anomalies occur after the fault started.

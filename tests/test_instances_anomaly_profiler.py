@@ -94,22 +94,21 @@ def _run_with_disk(disk_spec, n=300, seed=81):
 
 def test_anomaly_detector_clean_traces_mostly_quiet():
     traces = _run_with_disk(DiskSpec())
-    trees = traces.trace_trees()
-    detector = AnomalyDetector(threshold_sigmas=6.0).fit(trees)
-    anomalies = detector.scan(trees)
-    assert len(anomalies) < len(trees) * 0.02
+    detector = AnomalyDetector(threshold_sigmas=6.0).fit(traces)
+    anomalies = detector.scan(traces)
+    assert len(anomalies) < len(detector.judge(traces)) * 0.02
 
 
 def test_anomaly_detector_flags_degraded_disk():
-    healthy = _run_with_disk(DiskSpec()).trace_trees()
+    healthy = _run_with_disk(DiskSpec())
     detector = AnomalyDetector(threshold_sigmas=4.0).fit(healthy)
     # A sick disk: 4x seek times and no write cache.
     degraded = _run_with_disk(
         DiskSpec(min_seek=1.6e-3, max_seek=32e-3, write_cache=False),
         seed=82,
-    ).trace_trees()
+    )
     verdicts = detector.scan(degraded)
-    assert len(verdicts) > len(degraded) * 0.2
+    assert len(verdicts) > len(detector.judge(degraded)) * 0.2
     # The suspect stage is storage — the actual fault site.
     stages = [v.worst_stage for v in verdicts]
     assert stages.count("storage") > len(stages) * 0.8
@@ -117,7 +116,7 @@ def test_anomaly_detector_flags_degraded_disk():
 
 def test_anomaly_detector_bottleneck_is_storage():
     traces = _run_with_disk(DiskSpec())
-    detector = AnomalyDetector().fit(traces.trace_trees())
+    detector = AnomalyDetector().fit(traces)
     assert detector.bottleneck().stage in ("storage", "network_rx")
 
 
@@ -125,10 +124,9 @@ def test_anomaly_detector_validation():
     with pytest.raises(ValueError):
         AnomalyDetector(threshold_sigmas=0.0)
     with pytest.raises(ValueError):
-        AnomalyDetector().fit([])
+        AnomalyDetector().fit(TraceSet())
     with pytest.raises(RuntimeError):
-        traces = _run_with_disk(DiskSpec(), n=50)
-        AnomalyDetector().judge(traces.trace_trees()[0])
+        AnomalyDetector().judge(_run_with_disk(DiskSpec(), n=50))
 
 
 # -- profiler ----------------------------------------------------------------

@@ -9,6 +9,7 @@ from repro.core import (
     ReplayHarness,
     compare_workloads,
     extract_request_features,
+    trace_walks,
 )
 from repro.datacenter import (
     GfsCluster,
@@ -20,7 +21,7 @@ from repro.datacenter.devices import DiskSpec, NicSpec
 from repro.queueing import MMPPArrivals
 from repro.simulation import Environment, RandomStreams
 from repro.stats import hill_estimator
-from repro.tracing import Tracer, save_traces
+from repro.tracing import Tracer, save_traces, source_columns
 from repro.workloads import (
     ClosedLoopClient,
     SurgeSpec,
@@ -38,7 +39,8 @@ def test_run_driver_custom_arrivals_and_sampling():
         sample_every=10,
     )
     assert len(run.traces.completed_requests()) == 300
-    assert len(run.traces.trace_trees()) == 30  # 1-in-10 sampled
+    spans = source_columns(run.traces, "spans")
+    assert len(trace_walks(spans)) == 30  # 1-in-10 sampled
 
 
 def test_run_driver_machine_spec_changes_latency():

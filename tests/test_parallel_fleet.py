@@ -10,6 +10,7 @@ from repro.simulation import RandomStreams, resolve_workers, run_sharded
 from repro.tracing import TraceSet
 from repro.tracing.records import NetworkRecord, RequestRecord
 from repro.tracing.span import Span
+from tests.oracles import build_trace_trees
 
 
 def _square(x):
@@ -147,8 +148,8 @@ def test_merge_monotonic_offsets_and_unique_ids():
     span_ids = [s.span_id for s in merged.spans]
     assert len(span_ids) == len(set(span_ids))
     # Span trees survive the id shifting intact.
-    assert len(merged.trace_trees()) == len(
-        [t for r in results for t in r.traces.trace_trees()]
+    assert len(build_trace_trees(merged.spans)) == sum(
+        len(build_trace_trees(r.traces.spans)) for r in results
     )
 
 

@@ -49,7 +49,7 @@ from repro.serve import (
     StoreWatcher,
     parse_exposition,
 )
-from repro.serve.watcher import StoreShrunkError
+from repro.serve.watcher import StoreRewrittenError, StoreShrunkError
 from repro.store import (
     ShardManifest,
     ShardStore,
@@ -640,6 +640,27 @@ def _reducer_json(reducer) -> str:
     return json.dumps(reducer.state(), sort_keys=True)
 
 
+def test_watcher_raises_when_a_folded_shard_is_replaced(tmp_path):
+    store, staging = tmp_path / "traces", tmp_path / "staging"
+    store.mkdir()
+    staging.mkdir()
+    for index in range(2):
+        _open_tiny_shard(store, index, 0).finalize()
+    resident = ResidentAnalysis()
+    watcher = StoreWatcher(store, cache=False)
+    watcher.poll(resident)
+    # Same name, new content, staged so it cannot reuse the old inode.
+    staged = _open_tiny_shard(staging, 1, 0)
+    staged.write("requests", RequestRecord.from_dict(_live_record(0)))
+    staged.finalize()
+    shutil.rmtree(store / shard_dirname(1))
+    (staging / shard_dirname(1)).rename(store / shard_dirname(1))
+    for _ in range(2):  # refused on every poll, not only the first
+        with pytest.raises(StoreRewrittenError, match="shard 1"):
+            watcher.poll(resident)
+    assert len(resident.folded) == 2
+
+
 @settings(
     max_examples=30,
     deadline=None,
@@ -654,14 +675,15 @@ def test_incremental_snapshot_equals_fresh(tmp_path_factory, data):
     compacted into ``index.json``, and prefix shards disappear or are
     replaced by a new directory of the same name.  After every event
     the incremental snapshot (gated and ungated) equals a fresh one,
-    and the watcher either folds up to the gated prefix or raises
-    :class:`StoreShrunkError` because a folded shard is gone.
+    and the watcher either folds up to the gated prefix, raises
+    :class:`StoreShrunkError` because a folded shard is gone, or raises
+    :class:`StoreRewrittenError` because a folded shard was replaced by
+    different content.
     """
     store = tmp_path_factory.mktemp("events") / "traces"
     store.mkdir()
     staging = store.parent / "staging"
     staging.mkdir()
-    replaced = False
     writers: dict[int, tuple] = {}  # open shard index -> (writer, round)
     rounds: dict[int, int] = {}  # every live shard index -> round
     torn: set[int] = set()
@@ -728,21 +750,21 @@ def test_incremental_snapshot_equals_fresh(tmp_path_factory, data):
                     (staging / shard_dirname(index)).rename(
                         store / shard_dirname(index)
                     )
-                    replaced = True
         for gated in (False, True):
             previous[gated] = take_snapshot(store, gated, previous=previous[gated])
             assert previous[gated] == take_snapshot(store, gated)
         fresh = take_snapshot(store, complete_rounds_only=True)
         try:
             watcher.poll(resident)
+        except StoreRewrittenError:
+            assert fresh.n_shards >= len(resident.folded)
+            assert not resident.matches_prefix(fresh.manifests)
         except StoreShrunkError:
             assert fresh.n_shards < len(resident.folded)
         else:
             assert watcher.snapshot == fresh
             assert len(resident.folded) == fresh.n_shards
-            # The watcher counts folded shards; it does not notice a
-            # folded shard replaced in place.
-            assert replaced or resident.matches_prefix(fresh.manifests)
+            assert resident.matches_prefix(fresh.manifests)
 
 
 @settings(

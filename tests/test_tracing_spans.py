@@ -1,11 +1,13 @@
-"""Unit tests for Dapper-style spans and trace-tree reassembly."""
+"""Unit tests for Dapper-style spans, the span-column walk and the
+trace-tree oracle it replaced; each malformed-trace rule is checked on
+both."""
 
 import pytest
 
-from repro.core import stage_sequences
-from repro.tracing import Span, build_trace_trees
+from repro.core import stage_sequences, trace_walks
+from repro.tracing import Span
 from repro.tracing.columnar import columns_from_records
-from tests.oracles import tree_stage_sequence
+from tests.oracles import build_trace_trees, tree_stage_sequence
 
 
 def _span(trace_id, span_id, parent_id, name, start, end):
@@ -18,6 +20,12 @@ def _span(trace_id, span_id, parent_id, name, start, end):
         start=start,
         end=end,
     )
+
+
+def _walks(spans):
+    """``(trace_id, names)`` of each trace's span-column walk."""
+    walks = trace_walks(columns_from_records("spans", spans))
+    return [(trace_id, names) for trace_id, names, _ in walks]
 
 
 def _gfs_trace(trace_id=1, offset=0.0):
@@ -44,6 +52,7 @@ def test_build_single_tree():
     assert len(trees) == 1
     assert trees[0].root.name == "request"
     assert trees[0].span_count() == 7
+    assert _walks(_gfs_trace()) == [(1, ["request", *FIGURE_1])]
 
 
 FIGURE_1 = (
@@ -68,6 +77,7 @@ def test_multiple_traces_grouped():
     spans = _gfs_trace(1) + _gfs_trace(2, offset=5.0)
     trees = build_trace_trees(spans)
     assert [t.trace_id for t in trees] == [1, 2]
+    assert [trace_id for trace_id, _ in _walks(spans)] == [1, 2]
 
 
 def test_orphan_spans_dropped():
@@ -75,11 +85,13 @@ def test_orphan_spans_dropped():
     spans.append(_span(1, 999, 888, "lost_child", 0.0, 0.1))  # parent 888 missing
     tree = build_trace_trees(spans)[0]
     assert tree.span_count() == 7  # orphan excluded
+    assert _walks(spans) == _walks(_gfs_trace())
 
 
 def test_trace_without_root_skipped():
     spans = [_span(3, 1, 42, "floating", 0.0, 1.0)]
     assert build_trace_trees(spans) == []
+    assert _walks(spans) == []
 
 
 def test_trace_with_two_roots_skipped():
@@ -88,12 +100,7 @@ def test_trace_with_two_roots_skipped():
         _span(4, 2, None, "root_b", 0.0, 1.0),
     ]
     assert build_trace_trees(spans) == []
-
-
-def test_critical_path_follows_longest_child():
-    tree = build_trace_trees(_gfs_trace())[0]
-    path = tree.critical_path()
-    assert [s.name for s in path] == ["request", "storage"]
+    assert _walks(spans) == []
 
 
 def test_span_duration_and_annotation():

