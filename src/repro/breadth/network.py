@@ -125,7 +125,7 @@ class NetworkTrafficModel:
         """
         self._check_fitted()
         if self.interarrival_fit is not None:
-            return DistributionArrivals(self.interarrival_fit.frozen, rng)
+            return DistributionArrivals(self.interarrival_fit, rng)
         return EmpiricalArrivals(self._interarrivals, rng)
 
     def generate(

@@ -150,7 +150,7 @@ class InDepthModel:
             raise ValueError(f"need n >= 1, got {n}")
         network = self.build_network(rng)
         if self._arrival_fit is not None:
-            arrivals = DistributionArrivals(self._arrival_fit.frozen, rng)
+            arrivals = DistributionArrivals(self._arrival_fit, rng)
         else:
             arrivals = EmpiricalArrivals(self._interarrivals, rng)
         results = network.run_open(arrivals, lambda _rng: "request", n)

@@ -79,17 +79,34 @@ class PoissonArrivals(ArrivalProcess):
 
 
 class DistributionArrivals(ArrivalProcess):
-    """Interarrivals drawn i.i.d. from a frozen scipy distribution."""
+    """Interarrivals drawn i.i.d. from a fitted or scipy distribution.
+
+    A :class:`~repro.queueing.fitting.FittedDistribution` draws each gap
+    with :meth:`~repro.queueing.fitting.FittedDistribution.draw`: the
+    value and generator state scipy's scalar ``rvs()`` would give,
+    without its per-call checks.  Any other distribution (a scipy
+    frozen one) draws with its ``rvs``.
+    """
 
     def __init__(self, distribution, rng: np.random.Generator):
+        # At call time: collect loads this module and never fits.
+        from .fitting import FittedDistribution
+
         self.distribution = distribution
         self.rng = rng
-        self._mean = float(distribution.mean())
+        if isinstance(distribution, FittedDistribution):
+            self._draw = distribution.draw
+            self._mean = distribution.mean
+        else:
+            self._draw = lambda rng: float(
+                max(0.0, distribution.rvs(random_state=rng))
+            )
+            self._mean = float(distribution.mean())
         if not np.isfinite(self._mean) or self._mean <= 0:
             raise ValueError("distribution must have a positive finite mean")
 
     def next_interarrival(self) -> float:
-        return float(max(0.0, self.distribution.rvs(random_state=self.rng)))
+        return self._draw(self.rng)
 
     @property
     def mean_rate(self) -> float:

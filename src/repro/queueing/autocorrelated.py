@@ -75,9 +75,11 @@ class CopulaArrivals(ArrivalProcess):
         self.rng = rng
         self.order = order
         self._sorted = np.sort(samples)
-        from scipy import stats
+        from scipy import special, stats
 
-        self._norm_cdf = stats.norm.cdf
+        # ndtr is what stats.norm.cdf evaluates, without its per-call
+        # argument handling.
+        self._norm_cdf = special.ndtr
         # Latent normal scores of the observed sequence (rank transform).
         ranks = stats.rankdata(samples, method="average")
         uniforms = ranks / (samples.size + 1.0)
