@@ -12,21 +12,15 @@ from .. import _lazy_exports
 __getattr__, __dir__ = _lazy_exports(globals(), {
     ".combined": ("InBreadthWorkloadModel",),
     ".cpu": ("CpuUtilizationModel", "utilization_series"),
-    ".kcca": ("KccaModel", "rbf_kernel"),
     ".memory": ("EchmmMemoryModel", "MemoryAccessModel"),
     ".network": ("NetworkCharacterization", "NetworkTrafficModel"),
-    ".offload": ("CpuBreakdown", "OffloadModel"),
     ".storage": ("StorageModel", "StorageProfile", "seek_distances"),
 })
 
 __all__ = [
-    "CpuBreakdown",
     "CpuUtilizationModel",
-    "OffloadModel",
     "EchmmMemoryModel",
     "InBreadthWorkloadModel",
-    "KccaModel",
-    "rbf_kernel",
     "MemoryAccessModel",
     "NetworkCharacterization",
     "NetworkTrafficModel",

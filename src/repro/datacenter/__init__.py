@@ -13,7 +13,6 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
         "DvfsPolicyResult", "DvfsSetting", "evaluate_dvfs_policy",
         "model_guided_policy",
     ),
-    ".failures": ("DiskFault", "FaultInjector"),
     ".gfs": ("GfsCluster", "GfsRequest", "GfsSpec"),
     ".machine": ("Machine", "MachineSpec"),
     ".mapreduce": (
@@ -36,10 +35,8 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
 })
 
 __all__ = [
-    "DiskFault",
     "DvfsPolicyResult",
     "DvfsSetting",
-    "FaultInjector",
     "GfsCluster",
     "evaluate_dvfs_policy",
     "model_guided_policy",

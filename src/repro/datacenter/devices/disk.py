@@ -149,12 +149,3 @@ class Disk:
     def utilization(self, since: float = 0.0) -> float:
         """Fraction of time the disk arm was busy since ``since``."""
         return self._queue.utilization(since)
-
-    def replace_spec(self, spec: DiskSpec) -> None:
-        """Swap the disk's service model mid-simulation.
-
-        The fault-injection hook: degrade (or repair) a disk while the
-        cluster is serving traffic.  Queued I/Os complete under the new
-        model; head position restarts at the new model's origin.
-        """
-        self.model = DiskModel(spec, self.model.rng)

@@ -3,16 +3,13 @@
 Jobs split an input into map tasks (read + compute + intermediate
 write), shuffle intermediate data over the network, and run reduce
 tasks (compute + output write).  Per-task subsystem records and spans
-use the canonical stage names, and per-job execution features are
-exposed for statistics-driven execution-time modeling (the KCCA use
-case).
+use the canonical stage names, and each completed job reports its
+execution time and phase byte counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..simulation import AllOf, Environment, RandomStreams
 from ..tracing import READ, WRITE, RequestRecord, Tracer
@@ -56,7 +53,7 @@ class MapReduceJob:
 
 @dataclass(slots=True)
 class JobResult:
-    """Outcome and features of a completed job (KCCA feature vector)."""
+    """Outcome and phase byte counts of a completed job."""
 
     job: MapReduceJob
     submit_time: float
@@ -68,17 +65,6 @@ class JobResult:
     @property
     def execution_time(self) -> float:
         return self.completion_time - self.submit_time
-
-    def feature_vector(self) -> np.ndarray:
-        """The task features Ganapathi et al. regress execution time on."""
-        return np.array(
-            [
-                float(self.job.input_bytes),
-                float(self.job.n_map),
-                float(self.job.n_reduce),
-                float(self.shuffle_bytes),
-            ]
-        )
 
 
 class MapReduceCluster:

@@ -11,7 +11,6 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     ".admission": ("AdmissionController", "AdmissionStats"),
     ".anomaly": ("AnomalyDetector", "AnomalyVerdict", "StageProfile"),
     ".model": ("InDepthModel",),
-    ".sqs": ("SqsEvaluator", "SqsResult", "SqsWorkloadModel"),
 })
 
 __all__ = [
@@ -20,8 +19,5 @@ __all__ = [
     "AnomalyDetector",
     "AnomalyVerdict",
     "InDepthModel",
-    "SqsEvaluator",
-    "SqsResult",
-    "SqsWorkloadModel",
     "StageProfile",
 ]

@@ -12,14 +12,12 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     ".chain": ("MarkovChain",),
     ".discretize": ("QuantileDiscretizer",),
     ".hierarchical": ("HierarchicalMarkovChain",),
-    ".higher_order": ("HigherOrderMarkovChain",),
     ".hmm": ("GaussianHMM",),
 })
 
 __all__ = [
     "GaussianHMM",
     "HierarchicalMarkovChain",
-    "HigherOrderMarkovChain",
     "MarkovChain",
     "QuantileDiscretizer",
 ]

@@ -106,6 +106,3 @@ class QuantileDiscretizer:
                 f"bin {bin_index} out of range [0, {self.representatives_.size})"
             )
         return float(self.representatives_[bin_index])
-
-    def fit_transform(self, values: Sequence[float]) -> np.ndarray:
-        return self.fit(values).transform(values)

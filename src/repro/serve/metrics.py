@@ -21,7 +21,6 @@ __all__ = [
     "Gauge",
     "MetricsRegistry",
     "parse_exposition",
-    "render_exposition",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -167,11 +166,6 @@ class MetricsRegistry:
         with self._lock:
             metrics = sorted(self._metrics.values(), key=lambda m: m.name)
         return "".join(metric.render() for metric in metrics)
-
-
-def render_exposition(registry: MetricsRegistry) -> str:
-    """Alias for ``registry.render()`` kept for symmetry with the parser."""
-    return registry.render()
 
 
 # -- parsing (validation for tests and the CI smoke job) ---------------------

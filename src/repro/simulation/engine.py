@@ -123,11 +123,6 @@ class Event:
         heappush(env._queue, (env._now, NORMAL, env._eid, self))
         return self
 
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        for callback in callbacks:
-            callback(self)
-
 
 class Timeout(Event):
     """An event that fires automatically after ``delay`` time units."""
@@ -303,9 +298,6 @@ class Condition(Event):
             else:
                 event.callbacks.append(check)
 
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def _finish(self) -> None:
         results = {
             i: e._value
@@ -323,9 +315,6 @@ class AllOf(Condition):
 
     __slots__ = ()
 
-    def _satisfied(self) -> bool:
-        return all(e.processed and e._ok for e in self._events)
-
     def _check(self, event: Event) -> None:
         if self._ok is not None:
             return
@@ -342,9 +331,6 @@ class AnyOf(Condition):
     """Triggers once *any* sub-event has fired successfully."""
 
     __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return any(e.processed and e._ok for e in self._events)
 
     def _check(self, event: Event) -> None:
         if self._ok is not None:
@@ -424,10 +410,6 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling & execution ------------------------------------------
-
-    def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
-        self._eid += 1
-        heappush(self._queue, (self._now + delay, priority, self._eid, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""

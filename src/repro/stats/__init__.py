@@ -4,7 +4,8 @@ Implements the analysis machinery the surveyed modeling papers rely
 on: distribution summaries and heavy-tail detection, self-similarity
 (Hurst) estimation, burstiness and stationarity metrics, ACF and
 utilization-pattern classification, PCA, k-means / Gaussian-mixture
-clustering with BIC selection, VU-list histograms, and sampling.
+clustering with BIC selection, and the mergeable streaming accumulators
+the characterization folds.
 """
 
 # Quiet compatibility alias: the canonical constant is
@@ -28,10 +29,7 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
         "SampleSummary", "hill_estimator", "ks_distance", "ks_two_sample",
         "summarize",
     ),
-    ".histogram": ("VUList",),
     ".pca": ("PCA",),
-    ".regression": ("LinearRegression",),
-    ".sampling": ("reservoir_sample", "systematic_sample"),
     ".selfsim": (
         "arrivals_to_counts", "hurst_aggregated_variance", "hurst_rs",
     ),
@@ -48,7 +46,6 @@ __all__ = [
     "ExactQuantiles",
     "GaussianMixture",
     "KMeans",
-    "LinearRegression",
     "MomentsAccumulator",
     "PCA",
     "ReservoirQuantile",
@@ -56,7 +53,6 @@ __all__ = [
     "STREAMING_STATE_VERSION",
     "SeekStats",
     "SlidingWindowCounter",
-    "VUList",
     "WindowedCounter",
     "acf",
     "arrivals_to_counts",
@@ -71,9 +67,7 @@ __all__ = [
     "ks_distance",
     "ks_two_sample",
     "peak_to_mean",
-    "reservoir_sample",
     "select_components_bic",
     "stationarity_pvalue",
     "summarize",
-    "systematic_sample",
 ]

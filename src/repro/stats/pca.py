@@ -68,9 +68,6 @@ class PCA:
         X = np.asarray(X, dtype=float)
         return (X - self.mean_) @ self.components_.T
 
-    def fit_transform(self, X: Sequence[Sequence[float]]) -> np.ndarray:
-        return self.fit(X).transform(X)
-
     def inverse_transform(self, Z: Sequence[Sequence[float]]) -> np.ndarray:
         """Reconstruct (approximately) original features from projections."""
         self._check_fitted()

@@ -102,7 +102,7 @@ def read_cluster_jobs(path: str | Path) -> list[RequestRecord]:
     Expects a CSV with a header containing at least the columns
     ``job_id, submit_time, duration, cpu_seconds, memory_bytes``.
     Each job becomes a RequestRecord (class "job"), so interarrival
-    fitting, clustering and KCCA-style studies apply unchanged.
+    fitting and clustering apply unchanged.
     """
     path = Path(path)
     records = []

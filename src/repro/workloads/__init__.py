@@ -1,7 +1,7 @@
 """Workload generation: request mixes and client drivers.
 
 Request-class mixes (including the paper's Table 2 workload), open- and
-closed-loop clients, and the SURGE user-equivalent model.
+closed-loop clients, and the MediSyn streaming-media generator.
 """
 
 from .. import _lazy_exports
@@ -13,7 +13,6 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
         "table2_mix", "web_serving_mix",
     ),
     ".mediasyn": ("MediaSession", "MediSynSpec", "MediSynWorkload"),
-    ".surge": ("SurgeSpec", "SurgeWorkload"),
 })
 
 __all__ = [
@@ -24,8 +23,6 @@ __all__ = [
     "MediSynWorkload",
     "OpenLoopClient",
     "RequestClass",
-    "SurgeSpec",
-    "SurgeWorkload",
     "WorkloadMix",
     "oltp_mix",
     "table2_mix",

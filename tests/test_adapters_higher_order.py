@@ -1,10 +1,9 @@
-"""Tests for trace-format adapters and higher-order Markov chains."""
+"""Tests for trace-format adapters."""
 
 import numpy as np
 import pytest
 
 from repro.breadth import StorageModel, StorageProfile
-from repro.markov import HigherOrderMarkovChain, MarkovChain
 from repro.queueing import fit_distribution
 from repro.tracing import (
     READ,
@@ -148,45 +147,3 @@ def test_cluster_jobs_validation(tmp_path):
     with pytest.raises(ValueError, match="negative duration"):
         read_cluster_jobs(path)
 
-
-# -- higher-order chains ------------------------------------------------------
-
-
-def test_higher_order_captures_cycle_first_order_cannot():
-    # Strict A-A-B cycle: first-order chain from state A is 50/50, an
-    # order-2 chain is deterministic.
-    sequence = ["a", "a", "b"] * 100
-    first = MarkovChain.from_sequence(sequence)
-    second = HigherOrderMarkovChain.from_sequence(sequence, order=2)
-    assert second.log_likelihood(sequence) > first.log_likelihood(sequence)
-    # Deterministic generation reproduces the cycle exactly.
-    path = second.sample_path(30, np.random.default_rng(0))
-    as_string = "".join(path)
-    assert "aab" in as_string
-    assert "bb" not in as_string  # impossible under the true process
-
-
-def test_higher_order_sample_length():
-    chain = HigherOrderMarkovChain.from_sequence(list("abcabcabc"), order=2)
-    assert len(chain.sample_path(7, np.random.default_rng(1))) == 7
-
-
-def test_higher_order_state_space_grows():
-    rng = np.random.default_rng(2)
-    sequence = list(rng.choice(list("abcd"), size=2000))
-    order1 = HigherOrderMarkovChain.from_sequence(sequence, order=1)
-    order2 = HigherOrderMarkovChain.from_sequence(sequence, order=2)
-    assert order2.n_states > order1.n_states
-    assert order2.n_parameters > order1.n_parameters
-
-
-def test_higher_order_validation():
-    with pytest.raises(ValueError):
-        HigherOrderMarkovChain.from_sequence(["a", "b"], order=0)
-    with pytest.raises(ValueError):
-        HigherOrderMarkovChain.from_sequence(["a", "b"], order=3)
-    chain = HigherOrderMarkovChain.from_sequence(list("ababab"), order=2)
-    with pytest.raises(ValueError):
-        chain.sample_path(0, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        chain.log_likelihood(["a"])

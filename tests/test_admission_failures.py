@@ -1,15 +1,10 @@
-"""Tests for admission control (Yaksha) and fault injection."""
+"""Tests for admission control (Yaksha) and a mid-run disk fault."""
 
 import numpy as np
 import pytest
 
-from repro.datacenter import (
-    DiskFault,
-    FaultInjector,
-    GfsCluster,
-    GfsSpec,
-)
-from repro.datacenter.devices import DiskSpec
+from repro.datacenter import GfsCluster, GfsSpec
+from repro.datacenter.devices import DiskModel, DiskSpec
 from repro.depth import AdmissionController, AnomalyDetector
 from repro.queueing import PoissonArrivals
 from repro.simulation import Environment, RandomStreams, Resource
@@ -117,7 +112,17 @@ def test_admission_controller_validation():
         AdmissionController(env, 0.1, rng, min_admission=0.0)
 
 
-# -- fault injection -----------------------------------------------------------
+# -- a disk fault with a time axis ---------------------------------------------
+
+
+def _disk_fault(env, disk, start, repair):
+    """Degrade ``disk`` at ``start`` and restore it at ``repair``."""
+    healthy = disk.model.spec
+    yield env.timeout(start)
+    disk.model = DiskModel(DEGRADED, disk.model.rng)
+    if repair is not None:
+        yield env.timeout(repair - start)
+        disk.model = DiskModel(healthy, disk.model.rng)
 
 
 def _run_with_fault(fault_start=10.0, repair=None, n_requests=900):
@@ -125,15 +130,9 @@ def _run_with_fault(fault_start=10.0, repair=None, n_requests=900):
     tracer = Tracer()
     streams = RandomStreams(7)
     cluster = GfsCluster(env, GfsSpec(), streams, tracer)
-    faults = [
-        DiskFault(
-            machine="chunkserver-0",
-            start_time=fault_start,
-            degraded_spec=DEGRADED,
-            repair_time=repair,
-        )
-    ]
-    injector = FaultInjector(env, cluster.chunkservers, faults)
+    chunkserver = cluster.chunkservers[0]
+    assert chunkserver.name == "chunkserver-0"
+    env.process(_disk_fault(env, chunkserver.disk, fault_start, repair))
     mix = table2_mix(streams.get("mix"))
     client = OpenLoopClient(
         env,
@@ -143,17 +142,11 @@ def _run_with_fault(fault_start=10.0, repair=None, n_requests=900):
     )
     client.start(n_requests)
     env.run()
-    return tracer.traces, injector
-
-
-def test_fault_injector_logs_events():
-    _, injector = _run_with_fault(fault_start=5.0, repair=15.0)
-    events = [(round(t), what) for t, _, what in injector.log]
-    assert events == [(5, "degraded"), (15, "repaired")]
+    return tracer.traces
 
 
 def test_fault_onset_visible_in_latencies():
-    traces, _ = _run_with_fault(fault_start=10.0)
+    traces = _run_with_fault(fault_start=10.0)
     before = [
         r.latency
         for r in traces.completed_requests()
@@ -168,7 +161,7 @@ def test_fault_onset_visible_in_latencies():
 
 
 def test_detector_localizes_onset_in_time():
-    traces, _ = _run_with_fault(fault_start=10.0)
+    traces = _run_with_fault(fault_start=10.0)
     starts = {s.trace_id: s.start for s in traces.spans if s.parent_id is None}
     healthy = TraceSet(
         spans=[s for s in traces.spans if starts[s.trace_id] < 9.0]
@@ -186,7 +179,7 @@ def test_detector_localizes_onset_in_time():
 
 
 def test_repair_restores_latency():
-    traces, _ = _run_with_fault(fault_start=8.0, repair=16.0, n_requests=900)
+    traces = _run_with_fault(fault_start=8.0, repair=16.0, n_requests=900)
     records = traces.completed_requests()
     during = [
         r.latency for r in records if 9.0 < r.arrival_time < 15.0
@@ -196,18 +189,3 @@ def test_repair_restores_latency():
     ]
     assert np.mean(after_repair) < 0.6 * np.mean(during)
 
-
-def test_fault_validation():
-    env = Environment()
-    streams = RandomStreams(1)
-    cluster = GfsCluster(env, GfsSpec(), streams, Tracer())
-    with pytest.raises(ValueError):
-        DiskFault("x", start_time=-1.0, degraded_spec=DEGRADED)
-    with pytest.raises(ValueError):
-        DiskFault("x", start_time=5.0, degraded_spec=DEGRADED, repair_time=5.0)
-    with pytest.raises(ValueError):
-        FaultInjector(
-            env,
-            cluster.chunkservers,
-            [DiskFault("ghost", 1.0, DEGRADED)],
-        )

@@ -89,14 +89,6 @@ def test_mapreduce_parallelism_speeds_up_job():
     assert by_name["parallel"] < by_name["serial"]
 
 
-def test_mapreduce_feature_vector():
-    jobs = [MapReduceJob("j", input_bytes=32 << 20, n_map=2, n_reduce=2)]
-    _, results = run_mapreduce_jobs(jobs=jobs, seed=4)
-    vector = results[0].feature_vector()
-    assert vector.shape == (4,)
-    assert vector[0] == 32 << 20
-
-
 def test_mapreduce_job_validation():
     with pytest.raises(ValueError):
         MapReduceJob("bad", input_bytes=0, n_map=1, n_reduce=1)

@@ -1,15 +1,14 @@
-"""Tests for the DVFS evaluator, protocol-offload model and regression."""
+"""Tests for the DVFS evaluator."""
 
 import numpy as np
 import pytest
 
-from repro.breadth import CpuBreakdown, CpuUtilizationModel, OffloadModel
+from repro.breadth import CpuUtilizationModel
 from repro.datacenter import (
     DvfsSetting,
     evaluate_dvfs_policy,
     model_guided_policy,
 )
-from repro.stats import LinearRegression
 
 HIGH = DvfsSetting("high", frequency=1.0, idle_power=60.0, peak_power=180.0)
 LOW = DvfsSetting("low", frequency=0.5, idle_power=30.0, peak_power=80.0)
@@ -84,78 +83,3 @@ def test_dvfs_validation():
     with pytest.raises(ValueError):
         model_guided_policy(CpuUtilizationModel(), [HIGH], headroom=0.5)
 
-
-# -- protocol offload ----------------------------------------------------
-
-
-def test_breakdown_classification():
-    static = CpuBreakdown(protocol_seconds=0.8e-3, data_seconds=0.2e-3)
-    dynamic = CpuBreakdown(protocol_seconds=0.2e-3, data_seconds=0.8e-3)
-    assert static.application_kind == "static"
-    assert dynamic.application_kind == "dynamic"
-    assert static.protocol_fraction == pytest.approx(0.8)
-
-
-def test_offload_speedup_static_vs_dynamic():
-    """Patwardhan's conclusion: offload pays for static serving only."""
-    static = OffloadModel(CpuBreakdown(0.8e-3, 0.2e-3))
-    dynamic = OffloadModel(CpuBreakdown(0.1e-3, 0.9e-3))
-    assert static.speedup(1.0) == pytest.approx(5.0)
-    assert dynamic.speedup(1.0) == pytest.approx(1.111, abs=0.01)
-    assert static.worthwhile()
-    assert not dynamic.worthwhile()
-
-
-def test_offload_throughput_scales_with_cores():
-    model = OffloadModel(CpuBreakdown(0.5e-3, 0.5e-3), cores=4)
-    assert model.throughput(0.0) == pytest.approx(4000.0)
-
-
-def test_offload_partial_fraction_monotone():
-    model = OffloadModel(CpuBreakdown(0.6e-3, 0.4e-3))
-    speedups = [model.speedup(f) for f in (0.0, 0.5, 1.0)]
-    assert speedups[0] == pytest.approx(1.0)
-    assert speedups == sorted(speedups)
-
-
-def test_offload_validation():
-    with pytest.raises(ValueError):
-        CpuBreakdown(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        CpuBreakdown(0.0, 0.0)
-    model = OffloadModel(CpuBreakdown(1e-3, 1e-3))
-    with pytest.raises(ValueError):
-        model.throughput(1.5)
-    with pytest.raises(ValueError):
-        OffloadModel(CpuBreakdown(1e-3, 1e-3), cores=0)
-
-
-# -- linear regression --------------------------------------------------------
-
-
-def test_regression_recovers_coefficients(rng):
-    X = rng.normal(0, 1, (200, 2))
-    y = 3.0 * X[:, 0] - 2.0 * X[:, 1] + 5.0
-    model = LinearRegression().fit(X, y)
-    assert model.coef_ == pytest.approx([3.0, -2.0], abs=1e-9)
-    assert model.intercept_ == pytest.approx(5.0, abs=1e-9)
-    assert model.r_squared(X, y) == pytest.approx(1.0)
-
-
-def test_regression_ridge_shrinks(rng):
-    X = rng.normal(0, 1, (50, 2))
-    y = 4.0 * X[:, 0] + rng.normal(0, 0.1, 50)
-    plain = LinearRegression().fit(X, y)
-    ridged = LinearRegression(ridge=100.0).fit(X, y)
-    assert abs(ridged.coef_[0]) < abs(plain.coef_[0])
-
-
-def test_regression_validation(rng):
-    with pytest.raises(ValueError):
-        LinearRegression(ridge=-1.0)
-    with pytest.raises(ValueError):
-        LinearRegression().fit([[1.0]], [1.0])
-    with pytest.raises(ValueError):
-        LinearRegression().fit([[1.0], [2.0]], [1.0, 2.0, 3.0])
-    with pytest.raises(RuntimeError):
-        LinearRegression().predict([[1.0]])

@@ -13,21 +13,17 @@ from repro.core import (
 )
 from repro.datacenter import (
     GfsCluster,
+    GfsRequest,
     GfsSpec,
     MachineSpec,
     run_gfs_workload,
 )
 from repro.datacenter.devices import DiskSpec, NicSpec
-from repro.queueing import MMPPArrivals
+from repro.queueing import MMPPArrivals, PoissonArrivals
 from repro.simulation import Environment, RandomStreams
 from repro.stats import hill_estimator
-from repro.tracing import Tracer, save_traces, source_columns
-from repro.workloads import (
-    ClosedLoopClient,
-    SurgeSpec,
-    SurgeWorkload,
-    oltp_mix,
-)
+from repro.tracing import READ, Tracer, save_traces, source_columns
+from repro.workloads import ClosedLoopClient, OpenLoopClient, oltp_mix
 
 
 def test_run_driver_custom_arrivals_and_sampling():
@@ -77,6 +73,27 @@ def test_kooza_on_closed_loop_workload():
     assert report.worst_feature_deviation_pct < 1.0
 
 
+def _heavy_tailed_reads(rng):
+    """Sequential reads with SURGE's object sizes: Pareto(1.3) from
+    4 KiB, capped at 8 MiB (infinite variance below the cap)."""
+    position = 0
+
+    def make_request():
+        nonlocal position
+        size = int(min(4096 * (1.0 + rng.pareto(1.3)), 8 << 20))
+        request = GfsRequest(
+            request_class="heavy_tail_read",
+            op=READ,
+            size_bytes=size,
+            lbn=position,
+            memory_bytes=max(4096, size // 4),
+        )
+        position += -(-size // 4096)
+        return request
+
+    return make_request
+
+
 def test_kooza_on_surge_heavy_tailed_workload():
     """Continuous (heavy-tailed) sizes: quantile bins keep deviations
     moderate rather than exact — the configurable-detail trade-off."""
@@ -84,13 +101,13 @@ def test_kooza_on_surge_heavy_tailed_workload():
     tracer = Tracer()
     streams = RandomStreams(17)
     cluster = GfsCluster(env, GfsSpec(), streams, tracer)
-    surge = SurgeWorkload(
+    client = OpenLoopClient(
         env,
         cluster.client_request,
-        SurgeSpec(user_equivalents=12, pages_per_session=25),
-        streams.get("surge"),
+        _heavy_tailed_reads(streams.get("sizes")),
+        PoissonArrivals(40.0, streams.get("arrivals")),
     )
-    surge.start()
+    client.start(600)
     env.run()
     n = len(tracer.traces.completed_requests())
     assert n > 300

@@ -7,9 +7,11 @@ submodule defines, ``dir()`` and ``from pkg import *`` see all of them,
 unknown names still raise ``AttributeError``, and a re-exported name
 reads the submodule's current binding, so a function rebound in its
 submodule (and restored) is seen through the package and never left
-behind in it.
+behind in it.  The last test reads the same tables from the source,
+importing nothing, to check that every module runs outside the tests.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -26,6 +28,7 @@ import repro
 from repro._version import tool_version
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
+ROOT = Path(__file__).resolve().parents[1]
 
 PACKAGES = ["repro"] + sorted(
     info.name
@@ -148,3 +151,108 @@ def test_a_spawned_worker_pool_collects_the_same_store(tmp_path):
             assert pooled.read_bytes() == path.read_bytes(), pooled
     assert json.loads((tmp_path / "pooled" / "shard-00000001" / "manifest.json")
                       .read_text())["index"] == 1
+
+
+# -- static reachability ---------------------------------------------------
+
+#: What runs the library outside the tests: the ``repro`` command and
+#: every file of the benches, the perfbench harness and the examples.
+ENTRY_MODULES = ("repro.cli", "repro.__main__")
+ENTRY_DIRS = ("benchmarks", "perfbench", "examples")
+
+
+def _module_name(path: Path, base: Path) -> str:
+    parts = path.relative_to(base).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _lazy_table(tree: ast.Module, package: str) -> dict[str, str]:
+    """Each name of a package's ``_lazy_exports`` table -> its submodule."""
+    table = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_lazy_exports":
+            exports = node.args[1]
+            for key, names in zip(exports.keys, exports.values):
+                for name in ast.literal_eval(names):
+                    table[name] = package + key.value
+    return table
+
+
+def _references(tree, name, is_package, modules, lazy) -> set[str]:
+    """The ``repro`` modules a file imports, read from its AST alone.
+
+    Imports anywhere in the file count, and a name imported from a lazy
+    package counts as its defining submodule.
+    """
+    refs: set[str] = set()
+
+    def load(module):
+        parts = module.split(".")
+        refs.update(
+            ".".join(parts[:i]) for i in range(1, len(parts) + 1)
+            if ".".join(parts[:i]) in modules
+        )
+
+    package = name.split(".") if is_package else name.split(".")[:-1]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                load(alias.name)
+        elif isinstance(node, ast.ImportFrom):
+            parts = package[: len(package) - node.level + 1] if node.level else []
+            base = ".".join(parts + ([node.module] if node.module else []))
+            load(base)
+            for alias in node.names:
+                load(lazy.get(base, {}).get(alias.name, f"{base}.{alias.name}"))
+    return refs
+
+
+def _import_graph():
+    """(repro module -> modules it loads, entry file -> modules it loads)."""
+    files = {}
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        files[_module_name(path, ROOT / "src")] = (path, path.name == "__init__.py")
+    trees = {name: ast.parse(path.read_text()) for name, (path, _) in files.items()}
+    lazy = {name: _lazy_table(trees[name], name)
+            for name, (_, is_package) in files.items() if is_package}
+    graph = {
+        name: _references(trees[name], name, files[name][1], files, lazy)
+        for name in files
+    }
+    entries = {}
+    for directory in ENTRY_DIRS + ("tests",):
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            name = _module_name(path, ROOT)
+            tree = ast.parse(path.read_text())
+            entries[name] = _references(
+                tree, name, path.name == "__init__.py", files, lazy
+            )
+    return graph, entries
+
+
+def _closure(graph, start):
+    seen, todo = set(), list(start)
+    while todo:
+        module = todo.pop()
+        if module not in seen:
+            seen.add(module)
+            todo.extend(graph[module])
+    return seen
+
+
+def test_every_module_is_reachable_outside_the_tests():
+    """No library module may be run by the tests alone: each one must be
+    reachable from the command, a bench, perfbench or an example."""
+    graph, entries = _import_graph()
+    start = set(ENTRY_MODULES)
+    for name, refs in entries.items():
+        if name.split(".")[0] in ENTRY_DIRS:
+            start |= refs
+    reached = _closure(graph, start)
+    unreached = set(graph) - reached
+    tests_reach = _closure(graph, set().union(*(
+        refs for name, refs in entries.items() if name.split(".")[0] == "tests"
+    )))
+    only_tests = sorted(unreached & tests_reach)
+    assert not only_tests, f"modules only tests/ import: {only_tests}"
+    assert not unreached, f"modules nothing imports: {sorted(unreached)}"

@@ -1,18 +1,15 @@
-"""Tests for the power model, KCCA, MediSyn and striped reads."""
+"""Tests for the power model, MediSyn and striped reads."""
 
 import numpy as np
 import pytest
 
-from repro.breadth import KccaModel, rbf_kernel
 from repro.datacenter import (
     GfsCluster,
     GfsRequest,
     GfsSpec,
     MachinePowerSpec,
-    MapReduceJob,
     PowerModel,
     run_gfs_workload,
-    run_mapreduce_jobs,
 )
 from repro.simulation import Environment, RandomStreams
 from repro.stats import hill_estimator
@@ -85,67 +82,6 @@ def test_energy_per_request():
     assert joules > 0
     with pytest.raises(ValueError):
         model.energy_per_request(run.cluster.chunkservers, 0)
-
-
-# -- KCCA ---------------------------------------------------------------
-
-
-def test_rbf_kernel_properties(rng):
-    X = rng.normal(0, 1, (20, 3))
-    K = rbf_kernel(X, X, bandwidth=1.0)
-    assert np.allclose(np.diag(K), 1.0)
-    assert np.allclose(K, K.T)
-    assert np.all((K > 0) & (K <= 1.0 + 1e-12))
-
-
-def test_rbf_kernel_validation(rng):
-    with pytest.raises(ValueError):
-        rbf_kernel(rng.normal(0, 1, (3, 2)), rng.normal(0, 1, (3, 2)), 0.0)
-
-
-def test_kcca_finds_correlated_subspace(rng):
-    X = rng.normal(0, 1, (60, 3))
-    y = (2 * X[:, 0] + 0.5 * X[:, 1])[:, None]
-    model = KccaModel(n_components=1).fit(X, y)
-    assert model.correlations_[0] > 0.8
-
-
-def test_kcca_prediction_beats_mean_baseline(rng):
-    jobs = [
-        MapReduceJob(
-            f"j{i}",
-            input_bytes=int(s) << 20,
-            n_map=int(m),
-            n_reduce=int(r),
-        )
-        for i, (s, m, r) in enumerate(
-            zip(
-                rng.integers(16, 256, 40),
-                rng.integers(2, 9, 40),
-                rng.integers(1, 5, 40),
-            )
-        )
-    ]
-    _, results = run_mapreduce_jobs(jobs=jobs, seed=3)
-    X = np.array([r.feature_vector() for r in results])
-    y = np.array([[r.execution_time] for r in results])
-    model = KccaModel(n_components=2).fit(X[:30], y[:30])
-    predictions = model.predict(X[30:]).ravel()
-    truth = y[30:].ravel()
-    kcca_error = np.mean(np.abs(predictions - truth))
-    mean_error = np.mean(np.abs(y[:30].mean() - truth))
-    assert kcca_error < mean_error
-
-
-def test_kcca_validation(rng):
-    with pytest.raises(ValueError):
-        KccaModel(n_components=0)
-    with pytest.raises(ValueError):
-        KccaModel().fit(rng.normal(0, 1, (3, 2)), rng.normal(0, 1, (3, 1)))
-    with pytest.raises(ValueError):
-        KccaModel().fit(rng.normal(0, 1, (10, 2)), rng.normal(0, 1, (9, 1)))
-    with pytest.raises(RuntimeError):
-        KccaModel().predict([[1.0, 2.0]])
 
 
 # -- MediSyn -----------------------------------------------------------------

@@ -1,18 +1,13 @@
-"""Tests for PCA, clustering, VU-lists and sampling."""
+"""Tests for PCA and clustering."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.stats import (
     PCA,
     GaussianMixture,
     KMeans,
-    VUList,
-    reservoir_sample,
     select_components_bic,
-    systematic_sample,
 )
 
 
@@ -126,73 +121,3 @@ def test_gmm_validation(rng):
     with pytest.raises(ValueError):
         GaussianMixture(5, rng).fit(np.zeros((2, 1)))
 
-
-# -- VUList ----------------------------------------------------------------
-
-
-def test_vulist_frequencies_sum_to_one(rng):
-    X = rng.normal(0, 1, (500, 2))
-    vu = VUList(["x", "y"], bins_per_feature=8).fit(X)
-    _, probs = vu.marginal("x")
-    assert probs.sum() == pytest.approx(1.0)
-    assert vu.total == 500
-
-
-def test_vulist_preserves_correlation(rng):
-    x = rng.normal(0, 1, 1000)
-    X = np.column_stack([x, 2 * x + rng.normal(0, 0.1, 1000)])
-    vu = VUList(["a", "b"], bins_per_feature=12).fit(X)
-    synthetic = vu.sample(1000, rng)
-    corr = np.corrcoef(synthetic[:, 0], synthetic[:, 1])[0, 1]
-    assert corr > 0.9
-
-
-def test_vulist_frequency_of_dense_cell(rng):
-    X = np.zeros((100, 1))
-    vu = VUList(["v"], bins_per_feature=4).fit(X)
-    assert vu.frequency([0.0]) == pytest.approx(1.0)
-    assert vu.n_cells == 1
-
-
-def test_vulist_validation(rng):
-    with pytest.raises(ValueError):
-        VUList([], 4)
-    with pytest.raises(RuntimeError):
-        VUList(["x"], 4).sample(1, rng)
-    vu = VUList(["x"], 4)
-    with pytest.raises(ValueError):
-        vu.fit(np.zeros((10, 2)))
-
-
-# -- sampling ---------------------------------------------------------------
-
-
-def test_reservoir_sample_size(rng):
-    sample = reservoir_sample(range(1000), 10, rng)
-    assert len(sample) == 10
-    assert all(0 <= x < 1000 for x in sample)
-
-
-def test_reservoir_sample_short_stream(rng):
-    assert sorted(reservoir_sample(range(3), 10, rng)) == [0, 1, 2]
-
-
-@settings(max_examples=25)
-@given(st.integers(min_value=1, max_value=20), st.integers(min_value=0, max_value=500))
-def test_reservoir_sample_uniformity_property(k, seed):
-    rng = np.random.default_rng(seed)
-    sample = reservoir_sample(range(100), k, rng)
-    assert len(sample) == min(k, 100)
-    assert len(set(sample)) == len(sample)  # no duplicates
-
-
-def test_systematic_sample():
-    assert systematic_sample(list(range(10)), every=3) == [0, 3, 6, 9]
-    assert systematic_sample(list(range(10)), every=3, offset=1) == [1, 4, 7]
-
-
-def test_systematic_sample_validation():
-    with pytest.raises(ValueError):
-        systematic_sample([1, 2], every=0)
-    with pytest.raises(ValueError):
-        systematic_sample([1, 2], every=2, offset=2)

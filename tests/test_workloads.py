@@ -1,4 +1,4 @@
-"""Unit tests for workload mixes, clients and the SURGE generator."""
+"""Unit tests for workload mixes and clients."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,12 @@ import pytest
 from repro.datacenter import GfsCluster, GfsSpec
 from repro.queueing import DeterministicArrivals, PoissonArrivals
 from repro.simulation import Environment, RandomStreams
-from repro.stats import hill_estimator
 from repro.tracing import READ, WRITE, Tracer
 from repro.workloads import (
     ClosedLoopClient,
     FileAccessPattern,
     OpenLoopClient,
     RequestClass,
-    SurgeSpec,
-    SurgeWorkload,
     WorkloadMix,
     oltp_mix,
     table2_mix,
@@ -160,30 +157,3 @@ def test_closed_loop_throughput_self_limits():
     for earlier, later in zip(records[:-1], records[1:]):
         assert later.arrival_time >= earlier.completion_time - 1e-12
 
-
-def test_surge_generates_heavy_tailed_objects():
-    env, tracer, cluster = _make_cluster(seed=7)
-    surge = SurgeWorkload(
-        env,
-        cluster.client_request,
-        SurgeSpec(user_equivalents=8, pages_per_session=12),
-        np.random.default_rng(11),
-    )
-    surge.start()
-    env.run()
-    sizes = [r.network_bytes for r in tracer.traces.completed_requests()]
-    assert len(sizes) == surge.objects_fetched
-    assert surge.objects_fetched > 50
-    alpha = hill_estimator(sizes, tail_fraction=0.3)
-    assert alpha < 3.0  # heavy tail (truncation biases alpha up slightly)
-
-
-def test_surge_spec_validation():
-    env, _, cluster = _make_cluster()
-    with pytest.raises(ValueError):
-        SurgeWorkload(
-            env,
-            cluster.client_request,
-            SurgeSpec(user_equivalents=0),
-            np.random.default_rng(0),
-        )
